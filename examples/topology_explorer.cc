@@ -33,8 +33,10 @@ explore(const hw::Topology &topo,
                                  : "asymmetric NVLink mesh");
 
     auto result = pn::searchDeviceMapping(topo, demand, capacity);
-    std::printf("evaluated %ld placements; overflow coverage %.0f%%\n",
-                result.evaluated, result.coverage * 100.0);
+    std::printf("evaluated %ld placements, pruned %ld; overflow "
+                "coverage %.0f%%\n",
+                result.evaluated, result.pruned,
+                result.coverage * 100.0);
 
     std::printf("stage -> GPU:");
     for (std::size_t s = 0; s < result.stageToGpu.size(); ++s)

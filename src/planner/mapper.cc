@@ -115,6 +115,16 @@ struct Scratch
     }
 };
 
+/** Bytes a GPU holding @p demand may lend: its headroom below
+ *  @p capacity, less the safety margin. */
+Bytes
+grantableSpare(Bytes demand, Bytes capacity, double spare_safety)
+{
+    Bytes spare = demand < capacity ? capacity - demand : 0;
+    return static_cast<Bytes>(static_cast<double>(spare) *
+                              spare_safety);
+}
+
 /**
  * Assign importer spare budgets to exporters for a fixed placement.
  *
@@ -145,12 +155,6 @@ assignSpareInto(Scratch &ws, const LaneMatrix &lanes,
         Bytes d = ws.demandOnGpu[static_cast<std::size_t>(gpu)];
         return d > capacity ? d - capacity : 0;
     };
-    auto spare_of = [&](int gpu) {
-        Bytes d = ws.demandOnGpu[static_cast<std::size_t>(gpu)];
-        Bytes spare = d < capacity ? capacity - d : 0;
-        return static_cast<Bytes>(static_cast<double>(spare) *
-                                  spare_safety);
-    };
 
     // Each exporter wants comfortably more budget than its raw
     // overflow: swap classes are whole layers with all in-flight
@@ -177,7 +181,9 @@ assignSpareInto(Scratch &ws, const LaneMatrix &lanes,
     // Remaining spare per importer and its contention (how many
     // exporters can reach it).
     for (int imp = 0; imp < n; ++imp) {
-        ws.spare[static_cast<std::size_t>(imp)] = spare_of(imp);
+        ws.spare[static_cast<std::size_t>(imp)] = grantableSpare(
+            ws.demandOnGpu[static_cast<std::size_t>(imp)], capacity,
+            spare_safety);
         int c = 0;
         for (int exp = 0; exp < n; ++exp) {
             if (ws.desire[static_cast<std::size_t>(exp)] > 0 &&
@@ -334,14 +340,58 @@ finishEval(const hw::Topology &topo, const LaneMatrix &lanes,
 }
 
 double
-scoreOf(const Evaluation &ev, const MapperConfig &config)
+scoreOf(const Evaluation &ev)
 {
     // Coverage dominates; among full-coverage mappings the fastest
     // drain wins (the reciprocal-of-max-cost score of Figure 6);
     // broken pipeline adjacency is charged like extra drain time.
     double drain_ms = util::toMs(ev.worstDrain) +
-                      config.adjacencyPenaltyMs * ev.brokenAdjacency;
+                      kAdjacencyPenaltyMs * ev.brokenAdjacency;
     return ev.coverage * 1e6 - drain_ms;
+}
+
+/**
+ * Upper bound on scoreOf() for any evaluation whose coverage is at
+ * most @p coverage and whose broken adjacencies are at least
+ * @p broken.  Sound in floating point, not just in real arithmetic:
+ * coverage <= ceiling holds on the doubles (same integer-to-double
+ * division), the drain term is >= 0 and the penalty is a fixed
+ * constant >= 0, and IEEE round-to-nearest is monotone in every
+ * operation used, so each rounded step of scoreOf() stays at or
+ * below the matching step here.
+ */
+double
+scoreCeiling(double coverage, int broken)
+{
+    return coverage * 1e6 - kAdjacencyPenaltyMs * broken;
+}
+
+/**
+ * Placement-independent ceiling on coverageOf().  Each GPU hosts at
+ * most one stage, so the total overflow is the same for every
+ * placement, and every grant is carved out of some GPU's
+ * grantableSpare() (a GPU hosting no stage lends capacity x
+ * spareSafety).  Covered bytes can therefore never exceed
+ * min(total overflow, total spare).  1.0 when nothing overflows.
+ */
+double
+coverageCeiling(const std::vector<Bytes> &stage_demand, int num_gpus,
+                Bytes capacity, double spare_safety)
+{
+    Bytes total_overflow = 0, total_spare = 0;
+    for (Bytes d : stage_demand) {
+        total_overflow += d > capacity ? d - capacity : 0;
+        total_spare += grantableSpare(d, capacity, spare_safety);
+    }
+    const auto idle =
+        static_cast<Bytes>(num_gpus) -
+        static_cast<Bytes>(stage_demand.size());
+    total_spare += idle * grantableSpare(0, capacity, spare_safety);
+    return total_overflow == 0
+               ? 1.0
+               : static_cast<double>(
+                     std::min(total_overflow, total_spare)) /
+                     static_cast<double>(total_overflow);
 }
 
 /** Best candidate of one scan chunk, in chunk-lexicographic order. */
@@ -351,6 +401,7 @@ struct ChunkBest
     double score = 0.0;
     std::vector<int> stageToGpu;
     long evaluated = 0;
+    long pruned = 0;
 };
 
 /**
@@ -359,13 +410,19 @@ struct ChunkBest
  * concatenating the chunks (prefixes in lexicographic order) yields
  * exactly the serial enumeration — the winner and its lowest-index
  * tie-break are independent of how chunks are scheduled on threads.
+ *
+ * The walk is a branch-and-bound against the chunk's own best score
+ * (never another chunk's, so the counts do not depend on scheduling
+ * either): a prefix whose scoreCeiling(@p ceiling, broken adjacencies
+ * so far) cannot strictly beat it is skipped with its whole subtree.
+ * Ties keep the earlier placement, exactly as the full walk would.
  */
 ChunkBest
 scanChunk(const hw::Topology &topo, const LaneMatrix &lanes,
           const std::vector<int> &prefix,
           const std::vector<Bytes> &stage_demand, Bytes capacity,
           const MapperConfig &config,
-          const std::vector<Bytes> &stage_desire)
+          const std::vector<Bytes> &stage_desire, double ceiling)
 {
     const int n = lanes.n;
     const int k = static_cast<int>(stage_demand.size());
@@ -373,26 +430,33 @@ scanChunk(const hw::Topology &topo, const LaneMatrix &lanes,
     Scratch ws(n);
     ws.stageToGpu.assign(static_cast<std::size_t>(k), -1);
     std::vector<char> used(static_cast<std::size_t>(n), 0);
+    int broken = 0;
     for (std::size_t i = 0; i < prefix.size(); ++i) {
         ws.stageToGpu[i] = prefix[i];
         used[static_cast<std::size_t>(prefix[i])] = 1;
+        if (i > 0 && lanes.at(prefix[i - 1], prefix[i]) == 0)
+            ++broken;
     }
 
-    auto visit = [&]() {
+    // Placements below a depth-d prefix: (n-d)! / (n-k)!.
+    std::vector<long> subtree(static_cast<std::size_t>(k) + 1, 1);
+    for (int d = k - 1; d >= 0; --d)
+        subtree[static_cast<std::size_t>(d)] =
+            subtree[static_cast<std::size_t>(d) + 1] * (n - d);
+
+    auto visit = [&](int leaf_broken) {
         assignSpareInto(ws, lanes, ws.stageToGpu, stage_demand,
                         capacity, config.spareSafety, stage_desire);
         double coverage = coverageOf(ws, capacity);
         ++best.evaluated;
-        // Drain times and adjacency penalties only subtract from the
-        // score, so coverage * 1e6 bounds it from above: a candidate
-        // whose bound cannot strictly beat the chunk's best is
-        // rejected before any stripe plan is built (ties keep the
-        // earlier candidate either way).
-        if (best.have && coverage * 1e6 <= best.score)
+        // The exact coverage tightens the bound before any stripe
+        // plan is built.
+        if (best.have &&
+            scoreCeiling(coverage, leaf_broken) <= best.score)
             return;
         Evaluation ev = finishEval(topo, lanes, ws, ws.stageToGpu,
                                    capacity, coverage);
-        double score = scoreOf(ev, config);
+        double score = scoreOf(ev);
         if (!best.have || score > best.score) {
             best.have = true;
             best.score = score;
@@ -405,25 +469,59 @@ scanChunk(const hw::Topology &topo, const LaneMatrix &lanes,
     // are k-permutations, so each distinct mapping is evaluated
     // exactly once (the old full-n! scan evaluated duplicate prefixes
     // (n-k)! times and kept the first — same winner, more work).
-    auto walk = [&](auto &&self, int depth) -> void {
-        if (depth == k) {
-            visit();
+    auto walk = [&](auto &&self, int depth, int prefix_broken) -> void {
+        if (best.have &&
+            scoreCeiling(ceiling, prefix_broken) <= best.score) {
+            best.pruned += subtree[static_cast<std::size_t>(depth)];
             return;
         }
+        if (depth == k) {
+            visit(prefix_broken);
+            return;
+        }
+        const int prev =
+            ws.stageToGpu[static_cast<std::size_t>(depth - 1)];
         for (int g = 0; g < n; ++g) {
             if (used[static_cast<std::size_t>(g)])
                 continue;
             used[static_cast<std::size_t>(g)] = 1;
             ws.stageToGpu[static_cast<std::size_t>(depth)] = g;
-            self(self, depth + 1);
+            self(self, depth + 1,
+                 prefix_broken + (lanes.at(prev, g) == 0 ? 1 : 0));
             used[static_cast<std::size_t>(g)] = 0;
         }
     };
-    walk(walk, static_cast<int>(prefix.size()));
+    walk(walk, static_cast<int>(prefix.size()), broken);
     return best;
 }
 
 } // namespace
+
+MappingResult
+evaluatePlacement(const hw::Topology &topo,
+                  const std::vector<int> &stage_to_gpu,
+                  const std::vector<Bytes> &stage_demand,
+                  Bytes capacity, MapperConfig config,
+                  const std::vector<Bytes> &stage_desire)
+{
+    const LaneMatrix lanes(topo);
+    Scratch ws(lanes.n);
+    assignSpareInto(ws, lanes, stage_to_gpu, stage_demand, capacity,
+                    config.spareSafety, stage_desire);
+    Evaluation ev = finishEval(topo, lanes, ws, stage_to_gpu, capacity,
+                               coverageOf(ws, capacity));
+    MappingResult result;
+    result.stageToGpu = stage_to_gpu;
+    for (int exp = 0; exp < lanes.n; ++exp) {
+        auto &list = ws.grantList[static_cast<std::size_t>(exp)];
+        if (!list.empty())
+            result.grants.emplace(exp, std::move(list));
+    }
+    result.coverage = ev.coverage;
+    result.score = scoreOf(ev);
+    result.evaluated = 1;
+    return result;
+}
 
 MappingResult
 searchDeviceMapping(const hw::Topology &topo,
@@ -437,28 +535,14 @@ searchDeviceMapping(const hw::Topology &topo,
         util::fatal("more stages (%d) than GPUs (%d)", num_stages,
                     topo.numGpus());
 
-    MappingResult best;
-    const int n = topo.numGpus();
-    LaneMatrix lanes(topo);
-
     auto finalize = [&](const std::vector<int> &stage_to_gpu,
-                        long evaluated) {
-        Scratch ws(n);
-        assignSpareInto(ws, lanes, stage_to_gpu, stage_demand,
-                        capacity, config.spareSafety, stage_desire);
-        Evaluation ev =
-            finishEval(topo, lanes, ws, stage_to_gpu, capacity,
-                       coverageOf(ws, capacity));
-        best.stageToGpu = stage_to_gpu;
-        best.grants.clear();
-        for (int exp = 0; exp < n; ++exp) {
-            auto &list = ws.grantList[static_cast<std::size_t>(exp)];
-            if (!list.empty())
-                best.grants.emplace(exp, std::move(list));
-        }
-        best.coverage = ev.coverage;
-        best.score = scoreOf(ev, config);
+                        long evaluated, long pruned) {
+        MappingResult best =
+            evaluatePlacement(topo, stage_to_gpu, stage_demand,
+                              capacity, config, stage_desire);
         best.evaluated = evaluated;
+        best.pruned = pruned;
+        return best;
     };
 
     // Hierarchical cluster placement: an asymmetric multi-node fabric
@@ -480,7 +564,7 @@ searchDeviceMapping(const hw::Topology &topo,
         const int gpn = topo.gpusPerNode();
         std::vector<int> assembled(
             static_cast<std::size_t>(num_stages));
-        long evaluated = 0;
+        long evaluated = 0, pruned = 0;
         for (int node = 0; node < nodes; ++node) {
             hw::Topology sub = topo.extractNode(node);
             auto base = static_cast<std::size_t>(node) *
@@ -501,9 +585,9 @@ searchDeviceMapping(const hw::Topology &topo,
                     node * gpn +
                     r.stageToGpu[static_cast<std::size_t>(s)];
             evaluated += r.evaluated;
+            pruned += r.pruned;
         }
-        finalize(assembled, evaluated);
-        return best;
+        return finalize(assembled, evaluated, pruned);
     }
 
     // 8! placements are cheap; beyond 8 GPUs the factorial explodes,
@@ -518,8 +602,7 @@ searchDeviceMapping(const hw::Topology &topo,
         std::vector<int> identity(
             static_cast<std::size_t>(num_stages));
         std::iota(identity.begin(), identity.end(), 0);
-        finalize(identity, 1);
-        return best;
+        return finalize(identity, 1, 0);
     }
 
     // Chunked scan: fix the first min(2, k) stage positions per chunk
@@ -528,6 +611,10 @@ searchDeviceMapping(const hw::Topology &topo,
     // not of the thread count, so the reduction below — first chunk
     // in lexicographic order wins score ties — selects the same
     // placement whether the chunks run serially or on the pool.
+    const int n = topo.numGpus();
+    const LaneMatrix lanes(topo);
+    const double ceiling = coverageCeiling(stage_demand, n, capacity,
+                                           config.spareSafety);
     std::vector<std::vector<int>> prefixes;
     if (num_stages >= 2) {
         for (int a = 0; a < n; ++a) {
@@ -543,8 +630,9 @@ searchDeviceMapping(const hw::Topology &topo,
 
     std::vector<ChunkBest> results(prefixes.size());
     auto scan_one = [&](std::size_t c) {
-        results[c] = scanChunk(topo, lanes, prefixes[c], stage_demand,
-                               capacity, config, stage_desire);
+        results[c] =
+            scanChunk(topo, lanes, prefixes[c], stage_demand, capacity,
+                      config, stage_desire, ceiling);
     };
     if (pool != nullptr && pool->threads() > 1)
         pool->parallelFor(prefixes.size(), scan_one);
@@ -553,17 +641,17 @@ searchDeviceMapping(const hw::Topology &topo,
             scan_one(c);
     }
 
-    long evaluated = 0;
+    long evaluated = 0, pruned = 0;
     const ChunkBest *winner = nullptr;
     for (const auto &r : results) {
         evaluated += r.evaluated;
+        pruned += r.pruned;
         if (r.have && (winner == nullptr || r.score > winner->score))
             winner = &r;
     }
     if (winner == nullptr)
         util::fatal("placement scan found no candidate");
-    finalize(winner->stageToGpu, evaluated);
-    return best;
+    return finalize(winner->stageToGpu, evaluated, pruned);
 }
 
 } // namespace planner

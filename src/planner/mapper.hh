@@ -9,7 +9,8 @@
  * reciprocal of the worst exporter's D2D drain time (higher is
  * better), with full overflow coverage taking precedence and a
  * penalty for separating consecutive pipeline stages from a direct
- * NVLink path.
+ * NVLink path.  The placement scan prunes every prefix whose score
+ * ceiling cannot beat the best placement found so far.
  *
  * For symmetric (switch-based) fabrics the search short-circuits:
  * every placement is equivalent, so the identity mapping is used and
@@ -53,12 +54,14 @@ struct MapperConfig
     /** Fraction of an importer's spare bytes that may be granted
      *  (the rest is headroom against estimation error). */
     double spareSafety = 0.85;
-
-    /** Score penalty (in ms of equivalent drain time) per pair of
-     *  consecutive stages without a direct NVLink, reflecting the
-     *  P2P activation traffic that would bounce through the host. */
-    double adjacencyPenaltyMs = 50.0;
 };
+
+/** Score penalty (in ms of equivalent drain time) per pair of
+ *  consecutive stages without a direct NVLink, reflecting the P2P
+ *  activation traffic that would bounce through the host.  A fixed
+ *  non-negative constant: the scan's branch-and-bound relies on the
+ *  penalty only ever lowering a score. */
+constexpr double kAdjacencyPenaltyMs = 50.0;
 
 /** Result of the mapping search. */
 struct MappingResult
@@ -68,11 +71,16 @@ struct MappingResult
     double score = 0.0;
     /** Fraction of total overflow the grants can absorb. */
     double coverage = 0.0;
-    /** Number of distinct placements evaluated (1 for symmetric
-     *  fabrics).  With as many stages as GPUs this is the full n!
-     *  scan; with fewer stages each k-permutation is evaluated once
-     *  instead of (n-k)! duplicate times. */
+    /** Number of placements evaluated (spare assigned, coverage
+     *  computed): 1 for the identity short-circuit.  The scan visits
+     *  k-permutations of the n GPUs, so evaluated + pruned equals
+     *  n!/(n-k)! (8! = 40320 on an 8-stage DGX-1); a hierarchical
+     *  cluster placement sums its per-node scans. */
     long evaluated = 0;
+    /** Number of placements the scan's branch-and-bound skipped
+     *  because no completion of their prefix could beat the chunk's
+     *  best score; 0 for the identity short-circuit. */
+    long pruned = 0;
 };
 
 /**
@@ -89,9 +97,14 @@ struct MappingResult
  *        stage overflows anymore.
  * @param pool          optional worker pool: the placement scan is
  *        split into fixed chunks (leading stage positions) evaluated
- *        concurrently.  The chunk layout and the lowest-index
- *        tie-break are independent of the thread count, so the
- *        returned mapping is byte-identical with or without a pool.
+ *        concurrently.  The chunk layout, the per-chunk pruning bound
+ *        and the lowest-index tie-break are independent of the thread
+ *        count, so the returned mapping (and its evaluated/pruned
+ *        counts) is byte-identical with or without a pool.
+ *
+ * The scan is an exact branch-and-bound: it returns the same
+ * placement as scoring every k-permutation with evaluatePlacement()
+ * and keeping the first best in lexicographic order.
  */
 MappingResult searchDeviceMapping(const hw::Topology &topo,
                                   const std::vector<Bytes>
@@ -101,6 +114,22 @@ MappingResult searchDeviceMapping(const hw::Topology &topo,
                                   const std::vector<Bytes>
                                       &stage_desire = {},
                                   util::ThreadPool *pool = nullptr);
+
+/**
+ * Score one fixed placement: assign spare grants, then compute its
+ * coverage and score exactly as the scan does (evaluated = 1).  The
+ * scan finalizes its winner through this function, so an exhaustive
+ * loop over it is the reference the scan must match.
+ *
+ * @param stage_to_gpu  injective stage -> GPU placement
+ */
+MappingResult evaluatePlacement(const hw::Topology &topo,
+                                const std::vector<int> &stage_to_gpu,
+                                const std::vector<Bytes> &stage_demand,
+                                Bytes capacity,
+                                MapperConfig config = {},
+                                const std::vector<Bytes>
+                                    &stage_desire = {});
 
 } // namespace planner
 } // namespace mpress

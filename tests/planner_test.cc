@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "model/model.hh"
 #include "partition/partition.hh"
 #include "pipeline/schedule.hh"
 #include "planner/costmodel.hh"
 #include "planner/mapper.hh"
 #include "planner/planner.hh"
+#include "util/pool.hh"
+#include "util/random.hh"
 
 namespace hw = mpress::hw;
 namespace mm = mpress::model;
@@ -100,7 +105,7 @@ TEST(Mapper, AsymmetricSearchCoversOverflow)
         40 * mu::kGB, 36 * mu::kGB, 24 * mu::kGB, 20 * mu::kGB,
         16 * mu::kGB, 12 * mu::kGB, 8 * mu::kGB, 4 * mu::kGB};
     auto result = pn::searchDeviceMapping(topo, demand, 28 * mu::kGB);
-    EXPECT_EQ(result.evaluated, 40320);  // 8!
+    EXPECT_EQ(result.evaluated + result.pruned, 40320);  // 8!
     EXPECT_DOUBLE_EQ(result.coverage, 1.0);
 
     // Every granted importer is an NVLink neighbor of its exporter.
@@ -141,6 +146,143 @@ TEST(Mapper, NoOverflowMeansFullCoverageTrivially)
     std::vector<mu::Bytes> demand(8, 10 * mu::kGB);
     auto result = pn::searchDeviceMapping(topo, demand, 28 * mu::kGB);
     EXPECT_DOUBLE_EQ(result.coverage, 1.0);
+}
+
+namespace {
+
+/** The reference the scan must match: every k-permutation of the
+ *  GPUs in lexicographic order, scored through evaluatePlacement(),
+ *  first strictly-best placement kept. */
+pn::MappingResult
+exhaustiveMapping(const hw::Topology &topo,
+                  const std::vector<mu::Bytes> &demand, mu::Bytes cap,
+                  const std::vector<mu::Bytes> &desire)
+{
+    const int n = topo.numGpus();
+    const auto k = demand.size();
+    pn::MappingResult best;
+    bool have = false;
+    long count = 0;
+    std::vector<int> place(k);
+    std::vector<char> used(static_cast<std::size_t>(n), 0);
+    auto walk = [&](auto &&self, std::size_t depth) -> void {
+        if (depth == k) {
+            auto r = pn::evaluatePlacement(topo, place, demand, cap, {},
+                                           desire);
+            ++count;
+            if (!have || r.score > best.score) {
+                best = std::move(r);
+                have = true;
+            }
+            return;
+        }
+        for (int g = 0; g < n; ++g) {
+            if (used[static_cast<std::size_t>(g)])
+                continue;
+            used[static_cast<std::size_t>(g)] = 1;
+            place[depth] = g;
+            self(self, depth + 1);
+            used[static_cast<std::size_t>(g)] = 0;
+        }
+    };
+    walk(walk, 0);
+    best.evaluated = count;
+    return best;
+}
+
+void
+expectSameMapping(const pn::MappingResult &got,
+                  const pn::MappingResult &want)
+{
+    EXPECT_EQ(got.stageToGpu, want.stageToGpu);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.coverage),
+              std::bit_cast<std::uint64_t>(want.coverage));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.score),
+              std::bit_cast<std::uint64_t>(want.score))
+        << got.score << " vs " << want.score;
+    ASSERT_EQ(got.grants.size(), want.grants.size());
+    for (const auto &[exporter, grants] : want.grants) {
+        ASSERT_TRUE(got.grants.count(exporter)) << exporter;
+        const auto &mine = got.grants.at(exporter);
+        ASSERT_EQ(mine.size(), grants.size()) << exporter;
+        for (std::size_t i = 0; i < grants.size(); ++i) {
+            EXPECT_EQ(mine[i].importerGpu, grants[i].importerGpu);
+            EXPECT_EQ(mine[i].budget, grants[i].budget);
+        }
+    }
+}
+
+} // namespace
+
+TEST(Mapper, BranchAndBoundMatchesExhaustiveScan)
+{
+    // Generated inputs: both DGX-1 meshes, every stage count, demand
+    // that never / always / partly overflows, with and without the
+    // re-map's explicit desire vector.  The pruned scan must pick the
+    // exhaustive winner bit for bit, and count every placement either
+    // as evaluated or as pruned, identically at any pool size.
+    mu::SplitMix64 rng(20230225);
+    mu::ThreadPool serial(1), pooled(4);
+    const mu::Bytes cap = 28 * mu::kGB;
+    auto draw = [&](double lo, double hi) {
+        return static_cast<mu::Bytes>(
+            static_cast<double>(cap) *
+            (lo + (hi - lo) * rng.nextDouble()));
+    };
+    enum class Demand { None, All, Mixed };
+    for (const auto &topo :
+         {hw::Topology::dgx1V100(), hw::Topology::dgx1P100()}) {
+        long perms = 1;
+        for (int k = 1; k <= topo.numGpus(); ++k) {
+            perms *= topo.numGpus() - k + 1;
+            for (Demand kind : {Demand::None, Demand::All,
+                                Demand::Mixed}) {
+                for (bool with_desire : {false, true}) {
+                    std::vector<mu::Bytes> demand, desire;
+                    for (int s = 0; s < k; ++s) {
+                        bool over = kind == Demand::All ||
+                                    (kind == Demand::Mixed && s % 2 == 0);
+                        demand.push_back(over ? draw(1.05, 1.6)
+                                              : draw(0.1, 0.95));
+                        if (with_desire)
+                            desire.push_back(draw(0.0, 0.3));
+                    }
+                    SCOPED_TRACE(testing::Message()
+                                 << topo.name() << " k=" << k
+                                 << " demand=" << static_cast<int>(kind)
+                                 << " desire=" << with_desire);
+                    auto want =
+                        exhaustiveMapping(topo, demand, cap, desire);
+                    ASSERT_EQ(want.evaluated, perms);
+                    auto one = pn::searchDeviceMapping(
+                        topo, demand, cap, {}, desire, &serial);
+                    auto four = pn::searchDeviceMapping(
+                        topo, demand, cap, {}, desire, &pooled);
+                    expectSameMapping(one, want);
+                    expectSameMapping(four, want);
+                    EXPECT_EQ(one.evaluated + one.pruned, perms);
+                    EXPECT_EQ(one.evaluated, four.evaluated);
+                    EXPECT_EQ(one.pruned, four.pruned);
+                }
+            }
+        }
+    }
+}
+
+TEST(Mapper, RemapScanStopsAtFirstPerfectPlacement)
+{
+    // The planner's post-compaction re-map: nothing overflows, so the
+    // coverage ceiling is 1.0 and a placement with every pipeline
+    // neighbour on a direct NVLink scores exactly the ceiling.  Once
+    // a chunk finds one, the rest of that chunk is pruned.
+    auto topo = hw::Topology::dgx1V100();
+    std::vector<mu::Bytes> demand(8, 20 * mu::kGB);
+    std::vector<mu::Bytes> desire(8, 2 * mu::kGB);
+    auto result =
+        pn::searchDeviceMapping(topo, demand, 28 * mu::kGB, {}, desire);
+    EXPECT_EQ(result.score, 1e6);
+    EXPECT_EQ(result.evaluated + result.pruned, 40320);
+    EXPECT_LT(result.evaluated, 40320 / 10);
 }
 
 namespace {

@@ -225,16 +225,17 @@ fi
 
 if [ "$run_tsan" = 1 ]; then
     echo "== sanitizer build (TSan) =="
-    # The race-relevant surface: the thread pool, the planner's
-    # parallel trial search (including the robustness matrix), the
-    # executor it drives concurrently, the fault suites, the
-    # determinism suite that exercises threads=1 vs threads=4, and
-    # the serve daemon (request workers + readers sharing the
-    # resident trial cache and per-connection write locks).
+    # The race-relevant surface: the thread pool, the device
+    # mapper's chunk-parallel placement scan, the planner's parallel
+    # trial search (including the robustness matrix), the executor it
+    # drives concurrently, the fault suites, the determinism suite
+    # that exercises threads=1 vs threads=4, and the serve daemon
+    # (request workers + readers sharing the resident trial cache and
+    # per-connection write locks).
     cmake -B build-tsan -S . -DMPRESS_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "$jobs"
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-        -R 'ThreadPool|SearchDriver|SharedTrialCache|BudgetGate|BudgetLedger|Determinism|Planner|Runtime|Fault|Ladder|Robustness|Injector|Analysis|Serve|Cli|Cluster|WorkerArena'
+        -R 'ThreadPool|Mapper|SearchDriver|SharedTrialCache|BudgetGate|BudgetLedger|Determinism|Planner|Runtime|Fault|Ladder|Robustness|Injector|Analysis|Serve|Cli|Cluster|WorkerArena'
 
     echo "== sweep smoke (TSan) =="
     sweep=$(mktemp -d)
@@ -296,8 +297,12 @@ if [ "$run_perf" = 1 ]; then
     # Event-queue throughput vs the committed baseline.  Wide (30%)
     # tolerance: this catches "someone reintroduced a heap alloc per
     # event", not single-digit regressions, and must not flake on a
-    # loaded CI box.  Refresh the baseline with tools/bench_baseline.sh
-    # after deliberate engine changes.
+    # loaded CI box.  After deliberate engine changes, refresh the
+    # committed BENCH_sim.json from the repo root with the full,
+    # unfiltered bench:
+    #   MPRESS_BENCH_DIR=. MPRESS_GIT_REV=$(git rev-parse --short HEAD) \
+    #   MPRESS_BENCH_DATE=$(date -u +%Y-%m-%d) \
+    #       ./build-perf/bench/bench_sim_micro
     cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release \
         -DCMAKE_INTERPROCEDURAL_OPTIMIZATION=ON >/dev/null
     cmake --build build-perf -j "$jobs" --target bench_sim_micro
