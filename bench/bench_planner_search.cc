@@ -7,7 +7,7 @@
  * counts AND across cache on/off, or the fast path is wrong, not
  * fast.
  *
- * Seven sections:
+ * Five sections:
  *  1. thread scaling (cache on, the default); fails when threads=4
  *     is slower than threads=1 beyond a noise tolerance — the
  *     regression this harness originally caught
@@ -19,18 +19,12 @@
  *     SearchDriver directly, which must memoize the duplicate row
  *  4. static analyzer pricing: microseconds per certificate on a
  *     candidate plan; fails above 100 us, or when one DES trial
- *     does not buy at least 5 analyzer scorings (the analytic tier's
- *     candidates-per-wall-time multiplier)
- *  5. analytic prune on vs off on the greedy ladder: byte-identical
- *     picked plan
- *  6. portfolio race (greedy wavefront + annealer + best-first) vs
+ *     does not buy at least 5 analyzer scorings (the best-first
+ *     explorer prices every frontier neighbor with a certificate)
+ *  5. portfolio race (greedy wavefront + annealer + best-first) vs
  *     the serial ladder, full and under a 50 ms anytime deadline:
  *     the race must match or beat the ladder's throughput, and the
  *     deadline must cut the race's wall clock
- *  7. analytic prune under the portfolio on the memory-tight
- *     bert-6.2b fixture, where the annealer's retire mutations
- *     produce provably-OOM trials: byte-identical plan and a
- *     pruned counter that must be nonzero
  *
  * On a single-core host the scaling column shows pool overhead rather
  * than speedup; the exit status only reflects the identity checks and
@@ -77,18 +71,14 @@ struct Row
     std::string planText;
     std::uint64_t cacheHits;
     std::uint64_t cacheMisses;
-    std::uint64_t analyticScored;
-    std::uint64_t analyticPruned;
     double samplesPerSec;
     int winner;
 };
 
 struct JobKnobs
 {
-    const char *preset = "bert-1.67b";
     int threads = 1;
     bool trialCache = true;
-    bool analyticPrune = false;
     bool portfolio = false;
     double deadlineMs = 0.0;
 };
@@ -97,10 +87,9 @@ Row
 planJob(const JobKnobs &knobs)
 {
     auto cfg =
-        bench::bertJob(knobs.preset, api::Strategy::MPressFull);
+        bench::bertJob("bert-1.67b", api::Strategy::MPressFull);
     cfg.planner.threads = knobs.threads;
     cfg.planner.trialCache = knobs.trialCache;
-    cfg.planner.analyticPrune = knobs.analyticPrune;
     cfg.planner.portfolio = knobs.portfolio;
     cfg.planner.deadlineMs = knobs.deadlineMs;
     auto start = std::chrono::steady_clock::now();
@@ -115,20 +104,17 @@ planJob(const JobKnobs &knobs)
     row.planText = cp::planToText(result.plan);
     row.cacheHits = result.planResult.trialCacheHits;
     row.cacheMisses = result.planResult.trialCacheMisses;
-    row.analyticScored = result.planResult.analyticScored;
-    row.analyticPruned = result.planResult.analyticPruned;
     row.samplesPerSec = result.samplesPerSec;
     row.winner = result.planResult.winnerStrategy;
     return row;
 }
 
 Row
-planOnce(int threads, bool trial_cache, bool analytic_prune = false)
+planOnce(int threads, bool trial_cache)
 {
     JobKnobs knobs;
     knobs.threads = threads;
     knobs.trialCache = trial_cache;
-    knobs.analyticPrune = analytic_prune;
     return planJob(knobs);
 }
 
@@ -287,9 +273,10 @@ main()
     report.set("robustness/replay:on", "cache_misses",
                static_cast<double>(replay_on.misses));
 
-    // Static analyzer pricing: certificates must stay microsecond
-    // cheap so the analytic tier can shortlist candidates without
-    // eating into the DES budget it frees up.
+    // Static analyzer pricing: the best-first explorer prices every
+    // frontier neighbor with a certificate and emulates only the
+    // most promising, which pays only while a certificate costs a
+    // small fraction of one DES trial.
     std::printf("\nStatic analyzer pricing (bert-1.67b):\n\n");
     double price_us = 0.0;
     double des_us = 0.0;
@@ -345,30 +332,6 @@ main()
     report.set("analysis/price", "candidates_per_des_trial",
                candidate_ratio);
 
-    // Analytic prune on vs off: same plan, counters visible.
-    std::printf("\nAnalytic prune (threads=1):\n\n");
-    Row pruned = planOnce(1, true, true);
-    bool prune_identical = pruned.planText == cached.planText;
-    mu::TextTable prune_table({"analytic prune", "plan+run (ms)",
-                               "scored", "pruned",
-                               "plan vs default"});
-    prune_table.addRow(
-        {"off", mu::strformat("%.1f", cached.planMs), "0", "0",
-         "baseline"});
-    prune_table.addRow(
-        {"on", mu::strformat("%.1f", pruned.planMs),
-         mu::strformat("%llu",
-                       (unsigned long long)pruned.analyticScored),
-         mu::strformat("%llu",
-                       (unsigned long long)pruned.analyticPruned),
-         prune_identical ? "byte-identical" : "DIVERGED"});
-    prune_table.print(std::cout);
-    report.set("plan/prune:greedy", "wall_ms", pruned.planMs);
-    report.set("plan/prune:greedy", "scored",
-               static_cast<double>(pruned.analyticScored));
-    report.set("plan/prune:greedy", "pruned",
-               static_cast<double>(pruned.analyticPruned));
-
     // Portfolio race vs the serial ladder, full and under an anytime
     // deadline.  The race seeds every strategy with the ladder's seed
     // plan and commits only verified improvements, so its throughput
@@ -411,41 +374,6 @@ main()
                pf_deadline.planMs);
     report.set("portfolio/deadline:50", "samples_per_sec",
                pf_deadline.samplesPerSec);
-
-    // Analytic prune under the portfolio on a fixture tight enough
-    // for the annealer's retire mutations to walk into provably-OOM
-    // plans.  The greedy bert-1.67b ladder never proposes a provably
-    // bad trial (every candidate fits with ~4 GiB of proven slack),
-    // so this is where the prune tier earns its keep — and where a
-    // regression to pruned == 0 is caught.
-    std::printf(
-        "\nAnalytic prune under portfolio (bert-6.2b):\n\n");
-    JobKnobs tight;
-    tight.preset = "bert-6.2b";
-    tight.portfolio = true;
-    Row tight_off = planJob(tight);
-    tight.analyticPrune = true;
-    Row tight_on = planJob(tight);
-    bool tight_identical = tight_on.planText == tight_off.planText;
-    mu::TextTable tight_table({"analytic prune", "plan+run (ms)",
-                               "scored", "pruned",
-                               "plan vs default"});
-    tight_table.addRow(
-        {"off", mu::strformat("%.1f", tight_off.planMs), "0", "0",
-         "baseline"});
-    tight_table.addRow(
-        {"on", mu::strformat("%.1f", tight_on.planMs),
-         mu::strformat("%llu",
-                       (unsigned long long)tight_on.analyticScored),
-         mu::strformat("%llu",
-                       (unsigned long long)tight_on.analyticPruned),
-         tight_identical ? "byte-identical" : "DIVERGED"});
-    tight_table.print(std::cout);
-    report.set("plan/prune:on", "wall_ms", tight_on.planMs);
-    report.set("plan/prune:on", "scored",
-               static_cast<double>(tight_on.analyticScored));
-    report.set("plan/prune:on", "pruned",
-               static_cast<double>(tight_on.analyticPruned));
 
     if (!report.write())
         std::fprintf(stderr, "failed to write BENCH_planner.json\n");
@@ -496,17 +424,6 @@ main()
                      candidate_ratio);
         return 1;
     }
-    if (!prune_identical) {
-        std::fprintf(stderr,
-                     "\nFAIL: analytic prune changed the plan\n");
-        return 1;
-    }
-    if (pruned.analyticScored == 0) {
-        std::fprintf(stderr,
-                     "\nFAIL: analytic prune tier never scored a"
-                     " trial\n");
-        return 1;
-    }
     // The regression this harness originally shipped with: adding
     // workers made planning slower (1.2x at 4 threads).  Threads may
     // not help on a small host, but they must never hurt beyond
@@ -544,27 +461,13 @@ main()
                      pf_deadline.planMs, pf_full.planMs);
         return 1;
     }
-    if (!tight_identical) {
-        std::fprintf(stderr,
-                     "\nFAIL: analytic prune changed the portfolio"
-                     " plan on bert-6.2b\n");
-        return 1;
-    }
-    if (tight_on.analyticPruned == 0) {
-        std::fprintf(stderr,
-                     "\nFAIL: analytic prune tier pruned nothing on"
-                     " the memory-tight portfolio run\n");
-        return 1;
-    }
-    std::printf("\nOK: plans byte-identical across threads, cache,"
-                " prune and portfolio settings; threads=4 within"
-                " noise of serial; portfolio matched-or-beat the"
-                " ladder (%.2f vs %.2f samples/s) and the deadline"
-                " cut its wall clock; prune dropped %llu provably-"
-                "bad trials; analyzer prices %.0f candidates per"
+    std::printf("\nOK: plans byte-identical across threads, cache"
+                " and portfolio settings; threads=4 within noise of"
+                " serial; portfolio matched-or-beat the ladder"
+                " (%.2f vs %.2f samples/s) and the deadline cut its"
+                " wall clock; analyzer prices %.0f candidates per"
                 " DES trial at %.1f us each\n",
                 pf_full.samplesPerSec, cached.samplesPerSec,
-                (unsigned long long)tight_on.analyticPruned,
                 candidate_ratio, price_us);
     return 0;
 }

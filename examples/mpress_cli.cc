@@ -33,10 +33,6 @@
  *                             of the executed plan (per-GPU
  *                             peak-memory intervals, latency lower
  *                             bound, throughput upper bound)
- *     --analytic-prune        planner strategies only: score ladder
- *                             trials with the static analyzer first
- *                             and skip emulation for provably
- *                             non-acceptable ones (same final plan)
  *     --portfolio             planner strategies only: race the
  *                             greedy wavefront against a
  *                             simulated-annealing walker and an
@@ -443,7 +439,6 @@ main(int argc, char **argv)
     int threads = 1;
     bool fault_ladder = true;
     bool analyze = false;
-    bool analytic_prune = false;
     bool portfolio = false;
     double deadline_ms = 0.0;
 
@@ -496,8 +491,6 @@ main(int argc, char **argv)
             fault_ladder = false;
         else if (!std::strcmp(argv[i], "--analyze"))
             analyze = true;
-        else if (!std::strcmp(argv[i], "--analytic-prune"))
-            analytic_prune = true;
         else if (!std::strcmp(argv[i], "--portfolio"))
             portfolio = true;
         else if (!std::strcmp(argv[i], "--deadline-ms"))
@@ -556,7 +549,6 @@ main(int argc, char **argv)
     cfg.strategy = parseStrategy(strategy);
     cfg.verifyMode = parseVerifyMode(verify_mode);
     cfg.planner.threads = threads;
-    cfg.planner.analyticPrune = analytic_prune;
     cfg.planner.portfolio = portfolio;
     cfg.planner.deadlineMs = deadline_ms;
     if (deadline_ms < 0)

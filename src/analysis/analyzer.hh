@@ -20,7 +20,8 @@
  *    wire-time edge weights, maxed against per-lane bandwidth
  *    occupancy terms for compute, H2D and D2H;
  *  - a steady-state throughput upper bound derived from the same
- *    occupancy terms (used by the planner's analytic pruning tier).
+ *    occupancy terms (the portfolio's best-first explorer ranks its
+ *    frontier by it).
  *
  * The soundness contract, property-tested against the DES on the
  * scenario corpus (tests/analysis_test.cc):

@@ -118,11 +118,11 @@ struct Scratch
 /** Bytes a GPU holding @p demand may lend: its headroom below
  *  @p capacity, less the safety margin. */
 Bytes
-grantableSpare(Bytes demand, Bytes capacity, double spare_safety)
+grantableSpare(Bytes demand, Bytes capacity)
 {
     Bytes spare = demand < capacity ? capacity - demand : 0;
     return static_cast<Bytes>(static_cast<double>(spare) *
-                              spare_safety);
+                              kSpareSafety);
 }
 
 /**
@@ -139,7 +139,6 @@ void
 assignSpareInto(Scratch &ws, const LaneMatrix &lanes,
                 const std::vector<int> &stage_to_gpu,
                 const std::vector<Bytes> &stage_demand, Bytes capacity,
-                double spare_safety,
                 const std::vector<Bytes> &stage_desire)
 {
     const int n = lanes.n;
@@ -182,8 +181,7 @@ assignSpareInto(Scratch &ws, const LaneMatrix &lanes,
     // exporters can reach it).
     for (int imp = 0; imp < n; ++imp) {
         ws.spare[static_cast<std::size_t>(imp)] = grantableSpare(
-            ws.demandOnGpu[static_cast<std::size_t>(imp)], capacity,
-            spare_safety);
+            ws.demandOnGpu[static_cast<std::size_t>(imp)], capacity);
         int c = 0;
         for (int exp = 0; exp < n; ++exp) {
             if (ws.desire[static_cast<std::size_t>(exp)] > 0 &&
@@ -371,22 +369,22 @@ scoreCeiling(double coverage, int broken)
  * most one stage, so the total overflow is the same for every
  * placement, and every grant is carved out of some GPU's
  * grantableSpare() (a GPU hosting no stage lends capacity x
- * spareSafety).  Covered bytes can therefore never exceed
+ * kSpareSafety).  Covered bytes can therefore never exceed
  * min(total overflow, total spare).  1.0 when nothing overflows.
  */
 double
 coverageCeiling(const std::vector<Bytes> &stage_demand, int num_gpus,
-                Bytes capacity, double spare_safety)
+                Bytes capacity)
 {
     Bytes total_overflow = 0, total_spare = 0;
     for (Bytes d : stage_demand) {
         total_overflow += d > capacity ? d - capacity : 0;
-        total_spare += grantableSpare(d, capacity, spare_safety);
+        total_spare += grantableSpare(d, capacity);
     }
     const auto idle =
         static_cast<Bytes>(num_gpus) -
         static_cast<Bytes>(stage_demand.size());
-    total_spare += idle * grantableSpare(0, capacity, spare_safety);
+    total_spare += idle * grantableSpare(0, capacity);
     return total_overflow == 0
                ? 1.0
                : static_cast<double>(
@@ -421,7 +419,6 @@ ChunkBest
 scanChunk(const hw::Topology &topo, const LaneMatrix &lanes,
           const std::vector<int> &prefix,
           const std::vector<Bytes> &stage_demand, Bytes capacity,
-          const MapperConfig &config,
           const std::vector<Bytes> &stage_desire, double ceiling)
 {
     const int n = lanes.n;
@@ -446,7 +443,7 @@ scanChunk(const hw::Topology &topo, const LaneMatrix &lanes,
 
     auto visit = [&](int leaf_broken) {
         assignSpareInto(ws, lanes, ws.stageToGpu, stage_demand,
-                        capacity, config.spareSafety, stage_desire);
+                        capacity, stage_desire);
         double coverage = coverageOf(ws, capacity);
         ++best.evaluated;
         // The exact coverage tightens the bound before any stripe
@@ -501,13 +498,13 @@ MappingResult
 evaluatePlacement(const hw::Topology &topo,
                   const std::vector<int> &stage_to_gpu,
                   const std::vector<Bytes> &stage_demand,
-                  Bytes capacity, MapperConfig config,
+                  Bytes capacity,
                   const std::vector<Bytes> &stage_desire)
 {
     const LaneMatrix lanes(topo);
     Scratch ws(lanes.n);
     assignSpareInto(ws, lanes, stage_to_gpu, stage_demand, capacity,
-                    config.spareSafety, stage_desire);
+                    stage_desire);
     Evaluation ev = finishEval(topo, lanes, ws, stage_to_gpu, capacity,
                                coverageOf(ws, capacity));
     MappingResult result;
@@ -539,7 +536,7 @@ searchDeviceMapping(const hw::Topology &topo,
                         long evaluated, long pruned) {
         MappingResult best =
             evaluatePlacement(topo, stage_to_gpu, stage_demand,
-                              capacity, config, stage_desire);
+                              capacity, stage_desire);
         best.evaluated = evaluated;
         best.pruned = pruned;
         return best;
@@ -613,8 +610,7 @@ searchDeviceMapping(const hw::Topology &topo,
     // placement whether the chunks run serially or on the pool.
     const int n = topo.numGpus();
     const LaneMatrix lanes(topo);
-    const double ceiling = coverageCeiling(stage_demand, n, capacity,
-                                           config.spareSafety);
+    const double ceiling = coverageCeiling(stage_demand, n, capacity);
     std::vector<std::vector<int>> prefixes;
     if (num_stages >= 2) {
         for (int a = 0; a < n; ++a) {
@@ -632,7 +628,7 @@ searchDeviceMapping(const hw::Topology &topo,
     auto scan_one = [&](std::size_t c) {
         results[c] =
             scanChunk(topo, lanes, prefixes[c], stage_demand, capacity,
-                      config, stage_desire, ceiling);
+                      stage_desire, ceiling);
     };
     if (pool != nullptr && pool->threads() > 1)
         pool->parallelFor(prefixes.size(), scan_one);

@@ -50,11 +50,11 @@ struct MapperConfig
      *  system's suggested (identity) mapping — the Figure 9
      *  ablation baseline.  Spare-memory grants are still computed. */
     bool searchPlacement = true;
-
-    /** Fraction of an importer's spare bytes that may be granted
-     *  (the rest is headroom against estimation error). */
-    double spareSafety = 0.85;
 };
+
+/** Fraction of an importer's spare bytes that may be granted (the
+ *  rest is headroom against estimation error). */
+constexpr double kSpareSafety = 0.85;
 
 /** Score penalty (in ms of equivalent drain time) per pair of
  *  consecutive stages without a direct NVLink, reflecting the P2P
@@ -127,7 +127,6 @@ MappingResult evaluatePlacement(const hw::Topology &topo,
                                 const std::vector<int> &stage_to_gpu,
                                 const std::vector<Bytes> &stage_demand,
                                 Bytes capacity,
-                                MapperConfig config = {},
                                 const std::vector<Bytes>
                                     &stage_desire = {});
 

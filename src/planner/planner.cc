@@ -223,16 +223,12 @@ planMPress(const hw::Topology &topo,
     // identical variants hit.
     SearchDriver driver(topo, mdl, part, sched, exec_cfg, pool);
     driver.setCacheEnabled(cfg.trialCache);
-    driver.setAnalyticPrune(cfg.analyticPrune);
     if (cfg.sharedCache != nullptr)
         driver.setSharedCache(cfg.sharedCache);
     auto record_search_stats = [&result, &driver]() {
         TrialCacheStats stats = driver.cacheStats();
         result.trialCacheHits = stats.hits;
         result.trialCacheMisses = stats.misses;
-        PruneStats prune = driver.pruneStats();
-        result.analyticScored = prune.scored;
-        result.analyticPruned = prune.pruned();
         result.arenaShrinks = driver.arenaShrinks();
     };
 
@@ -244,7 +240,7 @@ planMPress(const hw::Topology &topo,
     for (const auto &stage : part.stages) {
         auto s = static_cast<std::size_t>(stage.index);
         double over = static_cast<double>(profile.stagePeak[s]) *
-                          (1.0 + cfg.headroom) -
+                          (1.0 + kSeedHeadroom) -
                       static_cast<double>(capacity);
         if (over <= 0)
             continue;
@@ -392,7 +388,7 @@ planMPress(const hw::Topology &topo,
             if (peak < capacity) {
                 total_spare += static_cast<Bytes>(
                     static_cast<double>(capacity - peak) *
-                    cfg.mapper.spareSafety);
+                    kSpareSafety);
             }
             for (const auto &c :
                  candidates[static_cast<std::size_t>(s)]) {
@@ -511,7 +507,7 @@ planD2dOnly(const hw::Topology &topo,
     for (const auto &stage : part.stages) {
         auto s = static_cast<std::size_t>(stage.index);
         double over = static_cast<double>(profile.stagePeak[s]) *
-                          (1.0 + cfg.headroom) -
+                          (1.0 + kSeedHeadroom) -
                       static_cast<double>(capacity);
         if (over <= 0)
             continue;

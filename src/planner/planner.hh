@@ -41,17 +41,20 @@
 namespace mpress {
 namespace planner {
 
+/** Activation classes flipped to D2D swap per refinement step.  A
+ *  step evaluates this batch plus its halvings (B, B/2, ... 1) as
+ *  independent trials and keeps the best accepted one. */
+constexpr int kD2dBatchPerStep = 8;
+
+/** Extra savings margin over the measured overflow when seeding. */
+constexpr double kSeedHeadroom = 0.03;
+
 /** Planner tunables. */
 struct PlannerConfig
 {
     /** Refinement iterations (each evaluates a batch of trial plans,
      *  every trial costing one emulated iteration). */
     int maxIterations = 10;
-
-    /** Activation classes flipped to D2D swap per refinement step.
-     *  A step evaluates this batch plus its halvings (B, B/2, ... 1)
-     *  as independent trials and keeps the best accepted one. */
-    int d2dBatchPerStep = 8;
 
     /** Worker threads for the emulator-feedback search (trial
      *  batches and the coarse variants run concurrently, each on its
@@ -64,9 +67,6 @@ struct PlannerConfig
     /** Required relative throughput gain to accept a refinement. */
     double acceptGain = 0.002;
 
-    /** Extra savings margin over the measured overflow. */
-    double headroom = 0.03;
-
     /** Forwarded to CompactionPlan::d2dStriping (Fig. 9 ablation). */
     bool d2dStriping = true;
 
@@ -76,27 +76,16 @@ struct PlannerConfig
      *  byte-identical either way (pinned by the determinism tests). */
     bool trialCache = true;
 
-    /** Analysis-first pruning tier: score every flip-ladder / sweep
-     *  trial with the static analyzer (src/analysis/, microseconds
-     *  per plan) and skip the emulated iteration for trials the
-     *  certificate proves can never be accepted — provable OOM, or a
-     *  throughput upper bound below the acceptance threshold.  The
-     *  final plan is byte-identical with the tier on or off (only
-     *  provably-rejected trials are skipped, and seed/escalation
-     *  probes always run the emulator); pinned by the determinism
-     *  tests. */
-    bool analyticPrune = false;
-
     /** Race heterogeneous refinement strategies instead of running
      *  only the greedy flip ladder: the greedy wavefront, a
      *  simulated-annealing walker and an analysis-guided best-first
-     *  explorer share one SearchDriver (worker pool, trial cache,
-     *  analytic tier) and submit their trials as one concurrent
-     *  wavefront per round.  The winner is picked by the fixed
-     *  (best verified throughput, lowest strategy index) rule, so the
-     *  returned plan is identical for every thread count and with the
-     *  trial cache on or off; it can only match or beat the greedy
-     *  ladder's plan. */
+     *  explorer share one SearchDriver (worker pool, trial cache)
+     *  and submit their trials as one concurrent wavefront per
+     *  round.  The winner is picked by the fixed (best verified
+     *  throughput, lowest strategy index) rule, so the returned plan
+     *  is identical for every thread count and with the trial cache
+     *  on or off; it can only match or beat the greedy ladder's
+     *  plan. */
     bool portfolio = false;
 
     /** Anytime knob: wall-clock budget for the refinement race in
@@ -180,12 +169,6 @@ struct PlanResult
      *  throughput upper bound.  Always computed (cheap); valid=false
      *  only when the tuple is structurally broken. */
     analysis::AnalysisCertificate certificate;
-
-    /** Analytic-tier counters (zero unless
-     *  PlannerConfig::analyticPrune): trials priced by the analyzer
-     *  and the subset rejected without an emulated iteration. */
-    std::uint64_t analyticScored = 0;
-    std::uint64_t analyticPruned = 0;
 
     /** Index of the strategy whose plan won the refinement race
      *  (0 = greedy wavefront; -1 when planning returned before the

@@ -57,8 +57,8 @@ namespace {
 /** Best verified throughput any strategy has reached, published
  *  between wavefront rounds.  Atomic so a strategy (or a future
  *  in-evaluation callback) can read it without a lock; the value is
- *  monotone non-decreasing and independent of prune/cache/thread
- *  settings, so reads stay deterministic. */
+ *  monotone non-decreasing and independent of cache/thread settings,
+ *  so reads stay deterministic. */
 struct SharedBest
 {
     std::atomic<double> best{0.0};
@@ -103,11 +103,11 @@ struct RaceCtx
 };
 
 /**
- * One racing strategy.  The race loop calls propose() /
- * baselines() / observe() strictly in that order once per round;
- * an empty propose() retires the strategy.  Each strategy tracks its
- * own best verified plan, seeded with the race's seed plan so a
- * strategy that never improves still offers a valid entry.
+ * One racing strategy.  The race loop calls propose() then observe()
+ * once per round; an empty propose() retires the strategy.  Each
+ * strategy tracks its own best verified plan, seeded with the race's
+ * seed plan so a strategy that never improves still offers a valid
+ * entry.
  */
 class Strategy
 {
@@ -126,13 +126,6 @@ class Strategy
 
     /** Next wavefront slice; empty retires the strategy. */
     virtual std::vector<CompactionPlan> propose() = 0;
-
-    /** Per-trial analytic prune baselines for the last propose().
-     *  Each mirrors the strategy's own acceptance threshold (or
-     *  disables the throughput rule with -1), which keeps the
-     *  strategy's trajectory identical with the prune tier on or
-     *  off. */
-    virtual std::vector<double> baselines() const = 0;
 
     /** Outcomes of this strategy's last slice, in propose() order. */
     virtual void observe(const std::vector<TrialOutcome> &outcomes)
@@ -167,7 +160,6 @@ class Strategy
     double _bestScore;
     std::uint64_t _proposed = 0;
     std::uint64_t _committed = 0;
-    std::size_t _lastCount = 0;
 };
 
 /**
@@ -211,17 +203,8 @@ class GreedyWavefront final : public Strategy
                 break;
             }
         }
-        _lastCount = trials.size();
         _proposed += trials.size();
         return trials;
-    }
-
-    std::vector<double>
-    baselines() const override
-    {
-        // Mirrors the acceptance threshold observe() applies, so the
-        // analytic tier can only drop trials pickBest() would reject.
-        return std::vector<double>(_lastCount, _cur.samplesPerSec);
     }
 
     void
@@ -311,8 +294,7 @@ class GreedyWavefront final : public Strategy
         // coverage on equal measured throughput.
         _pendingFlips.clear();
         std::vector<CompactionPlan> trials;
-        for (int batch = _ctx.cfg.d2dBatchPerStep; batch >= 1;
-             batch /= 2) {
+        for (int batch = kD2dBatchPerStep; batch >= 1; batch /= 2) {
             std::map<int, Bytes> scratch = budget;
             auto admitted = admitFlipBatch(gate_view, scratch, batch);
             if (admitted.empty())
@@ -435,8 +417,7 @@ class GreedyWavefront final : public Strategy
                          });
         _pendingFlips.clear();
         std::vector<CompactionPlan> trials;
-        for (int batch = _ctx.cfg.d2dBatchPerStep; batch >= 1;
-             batch /= 2) {
+        for (int batch = kD2dBatchPerStep; batch >= 1; batch /= 2) {
             std::size_t take = std::min(
                 static_cast<std::size_t>(batch), swaps.size());
             std::vector<Candidate *> flips(
@@ -513,14 +494,6 @@ class GreedyWavefront final : public Strategy
  * stages, or compact a class the seed left resident — moves the
  * ladder structurally cannot reach — and may accept a measured
  * regression (Metropolis) to get there.
- *
- * Its trials ride the wavefront with the throughput-prune rule
- * disabled (baseline -1): the walker's next move depends on the
- * previous trial's measured report, so pruning a merely-slow trial
- * would fork its trajectory between prune-on and prune-off runs.
- * The provable-OOM rule still applies and is trajectory-safe — the
- * rule is sound, so a pruned trial's real run would have reported
- * OOM too, and the walker rejects OOM either way.
  */
 class SimulatedAnneal final : public Strategy
 {
@@ -540,10 +513,8 @@ class SimulatedAnneal final : public Strategy
     std::vector<CompactionPlan>
     propose() override
     {
-        if (_round >= _maxRounds) {
-            _lastCount = 0;
+        if (_round >= _maxRounds)
             return {};
-        }
         ++_round;
         _pending.clear();
         std::vector<CompactionPlan> trials;
@@ -560,15 +531,8 @@ class SimulatedAnneal final : public Strategy
                 s, _ctx.mapping, _ctx.cfg.d2dStriping));
             _pending.push_back(std::move(s));
         }
-        _lastCount = trials.size();
         _proposed += trials.size();
         return trials;
-    }
-
-    std::vector<double>
-    baselines() const override
-    {
-        return std::vector<double>(_lastCount, -1.0);
     }
 
     void
@@ -578,8 +542,6 @@ class SimulatedAnneal final : public Strategy
         double adopt_score = 0.0;
         for (std::size_t i = 0; i < outcomes.size(); ++i) {
             const TrialOutcome &o = outcomes[i];
-            // With the throughput rule disabled, pruned implies a
-            // provable OOM — the same rejection a real run earns.
             if (o.report.oom || !o.verified)
                 continue;
             double sc = o.report.samplesPerSec;
@@ -754,7 +716,6 @@ class BestFirst final : public Strategy
     std::vector<CompactionPlan>
     propose() override
     {
-        _lastCount = 0;
         if (_round >= _maxRounds)
             return {};
         ++_round;
@@ -777,18 +738,8 @@ class BestFirst final : public Strategy
                 n.state, _ctx.mapping, _ctx.cfg.d2dStriping));
             _pending.push_back(std::move(n.state));
         }
-        _lastCount = trials.size();
         _proposed += trials.size();
         return trials;
-    }
-
-    std::vector<double>
-    baselines() const override
-    {
-        // Own acceptance threshold: pruned <=> provably unable to
-        // improve this strategy's best, the exact trials observe()
-        // would reject — so the explored graph is prune-invariant.
-        return std::vector<double>(_lastCount, _bestScore);
     }
 
     void
@@ -933,11 +884,6 @@ racePortfolio(SearchDriver &driver, const hw::Topology &topo,
               const compaction::CompactionPlan &seed_plan,
               const runtime::TrainingReport &seed_report)
 {
-    // Strategies carry their own acceptance thresholds per trial; the
-    // driver-wide prune baseline stays disabled (its gain still feeds
-    // the throughput rule).
-    driver.setPruneBaseline(-1.0, cfg.acceptGain);
-
     SharedBest shared;
     shared.publish(seed_report.samplesPerSec);
     RaceCtx ctx{driver, topo,    mdl, part,
@@ -967,7 +913,6 @@ racePortfolio(SearchDriver &driver, const hw::Topology &topo,
     while (true) {
         // Assemble one wavefront from every active strategy.
         std::vector<CompactionPlan> wave;
-        std::vector<double> baselines;
         std::vector<std::pair<std::size_t, std::size_t>> slices;
         for (std::size_t i = 0; i < strategies.size(); ++i) {
             std::size_t begin = wave.size();
@@ -976,13 +921,10 @@ racePortfolio(SearchDriver &driver, const hw::Topology &topo,
                 if (trials.empty()) {
                     active[i] = false;
                 } else {
-                    auto bl = strategies[i]->baselines();
                     wave.insert(wave.end(),
                                 std::make_move_iterator(
                                     trials.begin()),
                                 std::make_move_iterator(trials.end()));
-                    baselines.insert(baselines.end(), bl.begin(),
-                                     bl.end());
                 }
             }
             slices.emplace_back(begin, wave.size() - begin);
@@ -990,7 +932,7 @@ racePortfolio(SearchDriver &driver, const hw::Topology &topo,
         if (wave.empty())
             break;  // every strategy retired
 
-        auto outcomes = driver.evaluate(wave, baselines);
+        auto outcomes = driver.evaluate(wave);
 
         for (std::size_t i = 0; i < strategies.size(); ++i) {
             auto [begin, count] = slices[i];

@@ -27,13 +27,11 @@
  * annealer's RNG is fixed-seeded and its Metropolis draws depend only
  * on trial outcomes, which are pure), and the winner is picked by the
  * fixed (best verified throughput, lowest strategy index) rule — so
- * the race returns a byte-identical plan for every thread count, with
- * the trial cache on or off, and with the analytic prune tier on or
- * off (each strategy's prune baseline mirrors its own acceptance
- * threshold, so a pruned trial is exactly one it would have
- * rejected).  A wall-clock deadline is the only nondeterministic
- * input, and it is opt-in: deadlineMs=0 never stops early, and any
- * deadline that never fires leaves the result unchanged.
+ * the race returns a byte-identical plan for every thread count and
+ * with the trial cache on or off.  A wall-clock deadline is the only
+ * nondeterministic input, and it is opt-in: deadlineMs=0 never stops
+ * early, and any deadline that never fires leaves the result
+ * unchanged.
  */
 
 #ifndef MPRESS_PLANNER_PORTFOLIO_HH

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "analysis/analyzer.hh"
-#include "compaction/serialize.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "util/strings.hh"
@@ -62,6 +60,14 @@ jobKeyFor(const hw::Topology &topo,
     putScalar<double>(key, topo.nvmeSpec().peak.bytesPerSec());
     putScalar<std::int64_t>(key, topo.hostMemory());
     putScalar<std::int64_t>(key, topo.nvmeCapacity());
+    // Inter-node fabric: buildCluster names a spec "<N>x<node>"
+    // whatever its NIC, so the NIC tier must be keyed by content.
+    key.push_back('N');
+    putScalar<std::int32_t>(key, topo.gpusPerNode());
+    putScalar<std::int32_t>(key, topo.nicsPerNode());
+    putScalar<double>(key, topo.nicSpec().peak.bytesPerSec());
+    putScalar<std::int64_t>(key, topo.nicSpec().rampBytes);
+    putScalar<std::int64_t>(key, topo.nicSpec().latency);
     key.push_back('m');
     const model::ModelConfig &mc = mdl.config();
     putScalar<std::uint32_t>(
@@ -144,13 +150,12 @@ TrialCache::clear()
 }
 
 /**
- * Compact binary memoization key, equivalent to trialKey() but ~two
- * orders of magnitude cheaper to build: the text key renders the full
- * plan through planToText() + printf-style formatting on every cache
- * probe, which made the cache a net loss on the plain plan path.
- * Every section is tagged and length-prefixed, so the encoding is
- * injective (two different inputs can never serialize to the same
- * byte string) and the collision guard in cachedRun() stays sound.
+ * Raw scalars rather than rendered text: rendering the plan through
+ * planToText() on every cache probe made the cache a net loss on the
+ * plain plan path.  Every section is tagged and length-prefixed, so
+ * the encoding is injective (two different inputs can never serialize
+ * to the same byte string) and the collision guard in cachedRun()
+ * stays sound.
  */
 std::string
 SearchDriver::trialKeyBinary(const compaction::CompactionPlan &plan,
@@ -275,40 +280,6 @@ SearchDriver::workerArena()
     return slot;
 }
 
-const hw::Topology &
-SearchDriver::workerTopology()
-{
-    return *workerArena().topo;
-}
-
-std::string
-SearchDriver::trialKey(const compaction::CompactionPlan &plan,
-                       const runtime::ExecutorConfig &cfg,
-                       std::string_view scenario_id)
-{
-    std::string key = compaction::planToText(plan);
-    key += util::strformat(
-        "@cfg overhead=%a lookahead=%d liveness=%d timeline=%d"
-        " metrics=%d failfast=%d ladder=%d retries=%d backoff=%lld\n",
-        cfg.memOverheadFactor, cfg.swapInLookahead,
-        cfg.recordLiveness ? 1 : 0, cfg.recordTimeline ? 1 : 0,
-        cfg.recordMetrics ? 1 : 0, cfg.failFastOnOom ? 1 : 0,
-        cfg.faultLadder ? 1 : 0, cfg.maxTransferRetries,
-        static_cast<long long>(cfg.retryBackoff));
-    key += "@scenario ";
-    key += scenario_id;
-    key += '\n';
-    return key;
-}
-
-std::uint64_t
-SearchDriver::planSignature(const compaction::CompactionPlan &plan,
-                            const runtime::ExecutorConfig &cfg,
-                            std::string_view scenario_id)
-{
-    return util::fnv1a64(trialKey(plan, cfg, scenario_id));
-}
-
 std::string
 SearchDriver::scenarioKey(const fault::Scenario &scenario)
 {
@@ -388,74 +359,8 @@ std::vector<TrialOutcome>
 SearchDriver::evaluate(
     const std::vector<compaction::CompactionPlan> &trials)
 {
-    return evaluateImpl(trials, /*allow_prune=*/true, {});
-}
-
-std::vector<TrialOutcome>
-SearchDriver::evaluate(
-    const std::vector<compaction::CompactionPlan> &trials,
-    const std::vector<double> &baselines)
-{
-    if (!baselines.empty() && baselines.size() != trials.size()) {
-        util::panic("per-trial baselines (%zu) do not match trials"
-                    " (%zu)",
-                    baselines.size(), trials.size());
-    }
-    return evaluateImpl(trials, /*allow_prune=*/true, baselines);
-}
-
-TrialOutcome
-SearchDriver::evaluateOne(const compaction::CompactionPlan &plan)
-{
-    // Never pruned: single-plan callers (seeding, OOM escalation,
-    // re-mapping) branch on the real report — e.g. the DES's
-    // time-ordered first-OOM GPU, which the analyzer cannot name.
-    std::vector<compaction::CompactionPlan> one(1, plan);
-    return evaluateImpl(one, /*allow_prune=*/false, {}).front();
-}
-
-std::vector<TrialOutcome>
-SearchDriver::evaluateImpl(
-    const std::vector<compaction::CompactionPlan> &trials,
-    bool allow_prune, const std::vector<double> &baselines)
-{
-    const bool prune = allow_prune && _analyticPrune;
     std::vector<TrialOutcome> out(trials.size());
     _pool.parallelFor(trials.size(), [&](std::size_t i) {
-        if (prune) {
-            analysis::AnalysisOptions aopts;
-            aopts.memOverheadFactor = _execCfg.memOverheadFactor;
-            aopts.swapInLookahead = _execCfg.swapInLookahead;
-            analysis::AnalysisCertificate cert = analysis::analyzePlan(
-                workerTopology(), _mdl, _part, _sched, trials[i],
-                aopts);
-            _analyticScored.fetch_add(1, std::memory_order_relaxed);
-            // Both rules reject only provably non-acceptable trials.
-            // A pruned outcome is never accepted (verified stays
-            // false) and an acceptable trial is never pruned, so
-            // pickBest() ranks exactly the same accepted set as a
-            // full evaluation — the winner is byte-identical.
-            if (cert.valid && cert.provableOom) {
-                out[i].pruned = true;
-                out[i].report.oom = true;
-                out[i].report.oomGpu = cert.oomGpu;
-                _prunedOom.fetch_add(1, std::memory_order_relaxed);
-                return;
-            }
-            // A strategy can disable the throughput rule for its own
-            // trials (baseline < 0) so its trajectory is identical
-            // with pruning on or off — e.g. the annealer, whose next
-            // move depends on the previous trial's report.
-            const double base = baselines.empty() ? _pruneBaseline
-                                                  : baselines[i];
-            if (cert.valid && base >= 0.0 &&
-                cert.throughputUpperBound <=
-                    base * (1.0 + _pruneGain)) {
-                out[i].pruned = true;
-                _prunedSlow.fetch_add(1, std::memory_order_relaxed);
-                return;
-            }
-        }
         // Per-worker topology arena: the executor and the verifier
         // read the topology heavily, and an engine must never share
         // state with a concurrent one — but trials on the same worker
@@ -464,21 +369,18 @@ SearchDriver::evaluateImpl(
         verify::Options opts;
         opts.memOverheadFactor = _execCfg.memOverheadFactor;
         out[i].verified =
-            verify::verifyPlan(workerTopology(), _mdl, _part, _sched,
-                               trials[i], opts)
+            verify::verifyPlan(*workerArena().topo, _mdl, _part,
+                               _sched, trials[i], opts)
                 .ok();
     });
     return out;
 }
 
-PruneStats
-SearchDriver::pruneStats() const
+TrialOutcome
+SearchDriver::evaluateOne(const compaction::CompactionPlan &plan)
 {
-    PruneStats s;
-    s.scored = _analyticScored.load(std::memory_order_relaxed);
-    s.prunedOom = _prunedOom.load(std::memory_order_relaxed);
-    s.prunedSlow = _prunedSlow.load(std::memory_order_relaxed);
-    return s;
+    std::vector<compaction::CompactionPlan> one(1, plan);
+    return evaluate(one).front();
 }
 
 namespace {

@@ -13,9 +13,9 @@
  * is ever shared between threads.
  *
  * Because trials are pure, their reports memoize: the driver keeps a
- * cache keyed by a 64-bit FNV-1a signature of (serialized plan,
- * executor config, scenario id), with the full key text stored to
- * make hash collisions harmless.  Repeated plan variants across
+ * cache keyed by a 64-bit FNV-1a signature of (job, plan, executor
+ * config, scenario id), with the full key bytes stored to make hash
+ * collisions harmless.  Repeated plan variants across
  * flip-batch ladders, coarse-variant batches and robustness replays
  * return the cached TrainingReport instead of re-emulating; static
  * verification still runs per trial (it is ~25x cheaper than an
@@ -123,28 +123,11 @@ class TrialCache
     mutable TrialCacheStats _stats;
 };
 
-/** Counters of the analysis-first pruning tier. */
-struct PruneStats
-{
-    std::uint64_t scored = 0;      ///< trials priced by the analyzer
-    std::uint64_t prunedOom = 0;   ///< dropped: provable OOM
-    std::uint64_t prunedSlow = 0;  ///< dropped: throughput bound
-                                   ///< under the acceptance baseline
-
-    std::uint64_t pruned() const { return prunedOom + prunedSlow; }
-};
-
 /** Result of emulating + statically verifying one trial plan. */
 struct TrialOutcome
 {
     runtime::TrainingReport report;
     bool verified = false;
-
-    /** The analytic tier rejected the trial without emulating it:
-     *  the report is synthetic (OOM flag or zero throughput) and
-     *  verified stays false, so the outcome can never be accepted —
-     *  exactly like the DES run it provably stands in for. */
-    bool pruned = false;
 
     /** Acceptance test shared by every refinement stage: the trial
      *  survived emulation, passed static verification and beat the
@@ -205,25 +188,10 @@ class SearchDriver
                  runtime::ExecutorConfig exec_cfg,
                  util::ThreadPool &pool);
 
-    /** Emulate + verify every plan in @p trials concurrently.
-     *  Outcome i corresponds to trials[i]. */
+    /** Emulate (through the trial cache) + verify every plan in
+     *  @p trials concurrently.  Outcome i corresponds to trials[i]. */
     std::vector<TrialOutcome>
     evaluate(const std::vector<compaction::CompactionPlan> &trials);
-
-    /**
-     * Same as evaluate(), with a per-trial prune baseline: trial i's
-     * throughput-bound rule compares against baselines[i] instead of
-     * the global setPruneBaseline() value (a negative entry disables
-     * the rule for that trial; the provable-OOM rule always applies).
-     * The portfolio uses this to race strategies with different
-     * acceptance thresholds in one wavefront: a simulated-anneal
-     * downhill probe must see the real measured report, so it rides
-     * with a disabled throughput rule while greedy/best-first trials
-     * still prune.  @p baselines must be empty or trials.size().
-     */
-    std::vector<TrialOutcome>
-    evaluate(const std::vector<compaction::CompactionPlan> &trials,
-             const std::vector<double> &baselines);
 
     /** Convenience wrapper for a single plan (runs inline). */
     TrialOutcome evaluateOne(const compaction::CompactionPlan &plan);
@@ -281,66 +249,25 @@ class SearchDriver
     /**
      * Content key of this driver's job, prefixed to every
      * memoization key: topology (name, GPU count and spec capacity,
-     * host/NVMe provisioning, fabric class), model configuration +
-     * microbatch, partition stage boundaries, and schedule shape.
-     * Captures the whole preset-reachable configuration surface; a
-     * hand-mutated topology that disagrees only in a per-pair link
-     * override should not share a TrialCache across jobs.
+     * host/NVMe provisioning, fabric class, inter-node NIC tier),
+     * model configuration + microbatch, partition stage boundaries,
+     * and schedule shape.  Captures the whole preset- and
+     * ClusterSpec-reachable configuration surface; a hand-mutated
+     * topology that disagrees only in a per-pair link override
+     * should not share a TrialCache across jobs.
      */
     const std::string &jobKey() const { return _jobKey; }
 
     /**
-     * Enable the analysis-first pruning tier (default: off).  Batch
-     * trials are priced by the static analyzer first; a trial whose
-     * certificate proves an OOM, or whose throughput upper bound
-     * cannot beat the acceptance baseline, receives a synthetic
-     * never-accepted outcome instead of a DES run.  Only provably
-     * non-acceptable trials are pruned and pickBest() only ranks
-     * accepted ones, so the winning trial — and the planner's final
-     * plan — is byte-identical with the tier on or off.
-     * evaluateOne() never prunes: seed/escalation callers need the
-     * real report (e.g. the DES's time-ordered OOM GPU).
+     * Memoization key of one trial within a job: the plan, the
+     * executor-config fields that shape an emulation and the
+     * scenario id ("" for fault-free trials), as tagged,
+     * length-prefixed binary sections — injective, so two runs with
+     * equal keys are the same pure function call and the cached
+     * TrainingReport is byte-identical to a re-run.  The cache keys
+     * on jobKey() + this; the portfolio's best-first frontier uses it
+     * to deduplicate candidate plans.
      */
-    void setAnalyticPrune(bool on) { _analyticPrune = on; }
-
-    /** Baseline for the throughput prune rule, matching the
-     *  acceptance test: a trial with upper bound <= baseline *
-     *  (1 + gain) can never be accepted.  Negative baseline (the
-     *  default) disables the throughput rule; the OOM rule still
-     *  applies. */
-    void
-    setPruneBaseline(double baseline_samples_per_sec,
-                     double accept_gain)
-    {
-        _pruneBaseline = baseline_samples_per_sec;
-        _pruneGain = accept_gain;
-    }
-
-    /** Analytic-tier counters accumulated so far. */
-    PruneStats pruneStats() const;
-
-    /**
-     * Full memoization key of one trial: the serialized plan, the
-     * executor-config fields that shape an emulation (doubles in
-     * hexfloat so the text round-trips bit-exactly) and the scenario
-     * id ("" for fault-free trials).  Two runs with equal key text
-     * are the same pure function call, so the cached TrainingReport
-     * is byte-identical to a re-run.
-     */
-    static std::string trialKey(const compaction::CompactionPlan &plan,
-                                const runtime::ExecutorConfig &cfg,
-                                std::string_view scenario_id);
-
-    /** 64-bit FNV-1a signature of trialKey(...). */
-    static std::uint64_t
-    planSignature(const compaction::CompactionPlan &plan,
-                  const runtime::ExecutorConfig &cfg,
-                  std::string_view scenario_id);
-
-    /** Compact binary form of trialKey(): injective (tagged,
-     *  length-prefixed sections) and ~two orders of magnitude cheaper
-     *  to build.  The cache keys on it internally; the portfolio's
-     *  best-first frontier uses it to deduplicate candidate plans. */
     static std::string
     trialKeyBinary(const compaction::CompactionPlan &plan,
                    const runtime::ExecutorConfig &cfg,
@@ -378,20 +305,9 @@ class SearchDriver
     /** This thread's arena slot (lazily building the topology). */
     WorkerArena &workerArena();
 
-    /** Per-worker reusable topology copy (lazily constructed). */
-    const hw::Topology &workerTopology();
-
-    /** Shared body of evaluate()/evaluateOne(); the analytic tier
-     *  runs only when @p allow_prune is set.  @p baselines overrides
-     *  the global prune baseline per trial when non-empty. */
-    std::vector<TrialOutcome>
-    evaluateImpl(const std::vector<compaction::CompactionPlan> &trials,
-                 bool allow_prune,
-                 const std::vector<double> &baselines);
-
     /** Run one emulation through the memo cache.  @p cfg must carry
      *  any scenario pointer; @p scenario_id stands in for it in the
-     *  key.  Collisions fall back to a real run (full key text is
+     *  key.  Collisions fall back to a real run (full key bytes are
      *  compared), so memoization can never change a result. */
     runtime::TrainingReport
     cachedRun(const compaction::CompactionPlan &plan,
@@ -418,13 +334,6 @@ class SearchDriver
     TrialCache *_cache = &_ownCache;
     std::atomic<std::uint64_t> _cacheHits{0};
     std::atomic<std::uint64_t> _cacheMisses{0};
-
-    bool _analyticPrune = false;
-    double _pruneBaseline = -1.0;
-    double _pruneGain = 0.0;
-    std::atomic<std::uint64_t> _analyticScored{0};
-    std::atomic<std::uint64_t> _prunedOom{0};
-    std::atomic<std::uint64_t> _prunedSlow{0};
 };
 
 /** One refinement flip candidate as seen by the budget gate. */

@@ -148,7 +148,6 @@ parseJob(const util::JsonValue &doc, JobSpec *job, std::string *err)
                   err) &&
            getInt(doc, "threads", 1, 256, &job->threads, err) &&
            getBool(doc, "portfolio", &job->portfolio, err) &&
-           getBool(doc, "analyticPrune", &job->analyticPrune, err) &&
            getDouble(doc, "deadlineMs", 0.0, 1e9, &job->deadlineMs,
                      err);
 }

@@ -16,10 +16,11 @@
  * plan / analyze / robustness describe one training job with the
  * same vocabulary as the mpress_cli flags (model preset, topology
  * preset, system, strategy, microbatch, mbPerMini, minibatches,
- * threads, deadlineMs, portfolio, analyticPrune, verifyMode) and the
- * same defaults, so a served request and the equivalent command line
- * are the same job — the byte-identical-plan contract in
- * tests/serve_test.cc depends on it.  robustness additionally takes
+ * threads, deadlineMs, portfolio, verifyMode) and the same
+ * defaults, so a served request and the equivalent command line are
+ * the same job — the byte-identical-plan contract in
+ * tests/serve_test.cc depends on it.  Unknown job fields are
+ * ignored.  robustness additionally takes
  * "scenarios": an inline fault-scenario array in the --robustness
  * file format.  stall ("ms": sleep duration) exists only for tests
  * and is rejected unless the server enables it.
@@ -94,7 +95,6 @@ struct JobSpec
     int minibatches = 2;
     int threads = 1;
     bool portfolio = false;
-    bool analyticPrune = false;
     double deadlineMs = 0.0;
 };
 

@@ -108,7 +108,6 @@ buildJob(const JobSpec &job, planner::TrialCache *shared_cache,
     cfg.minibatches = job.minibatches;
     cfg.planner.threads = job.threads;
     cfg.planner.portfolio = job.portfolio;
-    cfg.planner.analyticPrune = job.analyticPrune;
     cfg.planner.deadlineMs = job.deadlineMs;
     // The daemon's one resident cache serves every request; the job
     // content key keeps different jobs' entries disjoint, so this is

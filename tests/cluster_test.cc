@@ -4,7 +4,7 @@
  * registry, node-aware topology structure, the cross-node donor axis
  * (intra-node NVLink first, NIC second, host swap last), hybrid
  * data+pipeline placement, the NIC-infeasibility verify rule, and the
- * OOM-rescue determinism matrix (threads x cache x prune produce one
+ * OOM-rescue determinism matrix (threads x cache produce one
  * byte-identical plan on a 2-node cluster).
  */
 
@@ -511,12 +511,11 @@ namespace {
 
 std::string
 planOn2xDgx2(const ClusterJob &job, int threads, bool cache,
-             bool prune, bool *feasible)
+             bool *feasible)
 {
     pn::PlannerConfig cfg;
     cfg.threads = threads;
     cfg.trialCache = cache;
-    cfg.analyticPrune = prune;
     auto result =
         pn::planMPress(job.topo, job.mdl, job.part, job.sched, cfg);
     *feasible = result.feasible;
@@ -531,7 +530,7 @@ TEST(ClusterDeterminism, OomRescuePlanIsByteIdenticalAcrossMatrix)
     // uncompacted job over per-GPU capacity on every node (the
     // single-node OOM below proves the pressure is real); the
     // planner must rescue it with compaction and produce the same
-    // plan bytes for every (threads, cache, prune) combination.
+    // plan bytes for every (threads, cache) combination.
     ClusterJob job(24);
     rt::TrainingReport raw = rt::runTraining(
         job.topo, job.mdl, job.part, job.sched, {}, {});
@@ -539,23 +538,17 @@ TEST(ClusterDeterminism, OomRescuePlanIsByteIdenticalAcrossMatrix)
                             " to mean anything";
 
     bool feasible = false;
-    std::string golden = planOn2xDgx2(job, 1, false, false,
-                                      &feasible);
+    std::string golden = planOn2xDgx2(job, 1, false, &feasible);
     ASSERT_TRUE(feasible);
 
     for (int threads : {1, 2, 4}) {
         for (bool cache : {false, true}) {
-            for (bool prune : {false, true}) {
-                if (threads == 1 && !cache && !prune)
-                    continue;  // the golden run
-                bool ok = false;
-                EXPECT_EQ(planOn2xDgx2(job, threads, cache, prune,
-                                       &ok),
-                          golden)
-                    << "threads=" << threads << " cache=" << cache
-                    << " prune=" << prune;
-                EXPECT_TRUE(ok);
-            }
+            if (threads == 1 && !cache)
+                continue;  // the golden run
+            bool ok = false;
+            EXPECT_EQ(planOn2xDgx2(job, threads, cache, &ok), golden)
+                << "threads=" << threads << " cache=" << cache;
+            EXPECT_TRUE(ok);
         }
     }
 

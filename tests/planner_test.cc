@@ -167,8 +167,8 @@ exhaustiveMapping(const hw::Topology &topo,
     std::vector<char> used(static_cast<std::size_t>(n), 0);
     auto walk = [&](auto &&self, std::size_t depth) -> void {
         if (depth == k) {
-            auto r = pn::evaluatePlacement(topo, place, demand, cap, {},
-                                           desire);
+            auto r =
+                pn::evaluatePlacement(topo, place, demand, cap, desire);
             ++count;
             if (!have || r.score > best.score) {
                 best = std::move(r);

@@ -2,11 +2,10 @@
  * @file
  * Tests for the anytime portfolio race (planner/portfolio.*): the
  * determinism matrix — the serialized plan must be byte-identical
- * across thread counts, deadline settings that never fire, trial
- * cache on/off and analytic prune on/off — plus the anytime
- * contract (an immediately-expiring deadline still returns a
- * verified feasible plan) and the race accounting surfaced through
- * PlanResult::strategyStats.
+ * across thread counts, deadline settings that never fire and trial
+ * cache on/off — plus the anytime contract (an immediately-expiring
+ * deadline still returns a verified feasible plan) and the race
+ * accounting surfaced through PlanResult::strategyStats.
  */
 
 #include <string>
@@ -48,14 +47,13 @@ struct Job
 
 pn::PlanResult
 planPortfolio(const Job &job, int threads, double deadline_ms,
-              bool trial_cache, bool analytic_prune = false)
+              bool trial_cache)
 {
     pn::PlannerConfig cfg;
     cfg.portfolio = true;
     cfg.threads = threads;
     cfg.deadlineMs = deadline_ms;
     cfg.trialCache = trial_cache;
-    cfg.analyticPrune = analytic_prune;
     return pn::planMPress(job.topo, job.mdl, job.part, job.sched,
                           cfg);
 }
@@ -91,22 +89,6 @@ TEST(Portfolio, PlanIdenticalAcrossThreadsDeadlineAndCache)
             }
         }
     }
-}
-
-TEST(Portfolio, AnalyticPruneDoesNotChangeThePlan)
-{
-    // Each strategy's per-trial prune baseline mirrors its own
-    // acceptance threshold, so pruning only drops trials that could
-    // never be accepted — the race trajectory is identical.
-    Job job("bert-1.67b");
-    auto off = planPortfolio(job, 1, 0.0, true, false);
-    auto on = planPortfolio(job, 1, 0.0, true, true);
-    ASSERT_TRUE(off.feasible);
-    ASSERT_TRUE(on.feasible);
-    EXPECT_EQ(cp::planToText(on.plan), cp::planToText(off.plan));
-    EXPECT_EQ(on.winnerStrategy, off.winnerStrategy);
-    EXPECT_GT(on.analyticScored, 0u);
-    EXPECT_EQ(off.analyticScored, 0u);
 }
 
 TEST(Portfolio, ExpiredDeadlineStillReturnsVerifiedPlan)

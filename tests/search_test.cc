@@ -3,8 +3,7 @@
  * Tests for the planner's concurrent emulator-feedback search: the
  * util::ThreadPool primitive, the SearchDriver (parallel trial
  * evaluation equals serial evaluation, fixed-tie-break winner), the
- * analytic-prune tier (a provably-OOM candidate must be dropped
- * without an emulated iteration), the per-worker arena reuse
+ * trial cache and its job/trial keys, the per-worker arena reuse
  * (steady-state re-evaluation must not allocate more than the
  * previous warm run) and the grant-budget helpers, including the
  * regression for the gate that admitted flips by stash size while
@@ -14,7 +13,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -423,6 +424,44 @@ TEST(SearchDriver, PickBestUsesFixedTieBreak)
     EXPECT_EQ(pn::SearchDriver::pickBest({}, 1.0, 0.0), -1);
 }
 
+TEST(SearchDriver, EveryBatchTrialIsEmulatedThenVerified)
+{
+    // One trial path: every plan in a batch, even one whose OOM is
+    // obvious, is emulated through the trial cache and then
+    // verified, so its report is the DES's own (including the
+    // time-ordered OOM GPU) and evaluateOne() is a batch of one.
+    // The uncompacted plan needs ~70 GiB per GPU with 24 in-flight
+    // minibatches against a 27 GiB usable capacity.
+    Job job("bert-1.67b", 24);
+    std::vector<cp::CompactionPlan> trials = {{},
+                                              recomputeAll(job.part)};
+    mu::ThreadPool pool(2);
+    pn::SearchDriver driver(job.topo, job.mdl, job.part, job.sched,
+                            {}, pool);
+    auto batch = driver.evaluate(trials);
+    ASSERT_EQ(batch.size(), 2u);
+    EXPECT_EQ(driver.cacheStats().misses, 2u);
+    EXPECT_TRUE(batch[0].report.oom);
+    EXPECT_GE(batch[0].report.oomGpu, 0);
+    EXPECT_FALSE(batch[1].report.oom);
+
+    mu::ThreadPool serial(1);
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+        pn::SearchDriver fresh(job.topo, job.mdl, job.part, job.sched,
+                               {}, serial);
+        fresh.setCacheEnabled(false);
+        auto one = fresh.evaluateOne(trials[i]);
+        EXPECT_EQ(one.report.oom, batch[i].report.oom) << i;
+        EXPECT_EQ(one.report.oomGpu, batch[i].report.oomGpu) << i;
+        EXPECT_EQ(one.report.oomTime, batch[i].report.oomTime) << i;
+        EXPECT_EQ(one.report.makespan, batch[i].report.makespan) << i;
+        EXPECT_EQ(one.report.samplesPerSec,
+                  batch[i].report.samplesPerSec)
+            << i;
+        EXPECT_EQ(one.verified, batch[i].verified) << i;
+    }
+}
+
 TEST(SearchDriver, PlannerThreadCountDoesNotChangeThePlan)
 {
     // The tentpole's determinism contract, at the planner level: the
@@ -439,6 +478,29 @@ TEST(SearchDriver, PlannerThreadCountDoesNotChangeThePlan)
     auto serial = plan_text(1);
     EXPECT_EQ(serial, plan_text(4));
     EXPECT_EQ(serial, plan_text(3));
+}
+
+TEST(SearchDriver, PlannerThreadsAndCacheDoNotChangeThePlan)
+{
+    // Every (threads, trial cache) cell must plan the same bytes as
+    // the serial cached run.
+    Job job("bert-1.67b");
+    job.sched = pl::buildSchedule(pl::SystemKind::PipeDream, 8, 8, 2);
+    auto plan_text = [&](int threads, bool cache) {
+        pn::PlannerConfig cfg;
+        cfg.threads = threads;
+        cfg.trialCache = cache;
+        return cp::planToText(pn::planMPress(job.topo, job.mdl,
+                                             job.part, job.sched, cfg)
+                                  .plan);
+    };
+    const std::string expected = plan_text(1, true);
+    for (int threads : {2, 4}) {
+        for (bool cache : {true, false}) {
+            EXPECT_EQ(expected, plan_text(threads, cache))
+                << "threads=" << threads << " cache=" << cache;
+        }
+    }
 }
 
 // ---------------------------------------------------------------
@@ -494,26 +556,26 @@ TEST(TrialCache, SignatureDistinguishesConfigAndScenario)
     Job job("bert-1.67b");
     auto plan = recomputeAll(job.part);
     rt::ExecutorConfig cfg;
+    auto key = [](const cp::CompactionPlan &p,
+                  const rt::ExecutorConfig &c, std::string_view sc) {
+        return pn::SearchDriver::trialKeyBinary(p, c, sc);
+    };
 
-    auto base = pn::SearchDriver::planSignature(plan, cfg, "");
-    EXPECT_EQ(pn::SearchDriver::planSignature(plan, cfg, ""), base);
+    auto base = key(plan, cfg, "");
+    EXPECT_EQ(key(plan, cfg, ""), base);
 
     rt::ExecutorConfig tweaked = cfg;
     tweaked.swapInLookahead += 1;
-    EXPECT_NE(pn::SearchDriver::planSignature(plan, tweaked, ""),
-              base);
+    EXPECT_NE(key(plan, tweaked, ""), base);
 
     rt::ExecutorConfig scaled = cfg;
-    scaled.memOverheadFactor *= 1.0000000001;  // hexfloat-visible
-    EXPECT_NE(pn::SearchDriver::planSignature(plan, scaled, ""),
-              base);
+    scaled.memOverheadFactor *= 1.0000000001;  // last-bits change
+    EXPECT_NE(key(plan, scaled, ""), base);
 
-    EXPECT_NE(
-        pn::SearchDriver::planSignature(plan, cfg, "pcie-degrade-0"),
-        base);
+    EXPECT_NE(key(plan, cfg, "pcie-degrade-0"), base);
 
     auto other = swapAll(job.part);
-    EXPECT_NE(pn::SearchDriver::planSignature(other, cfg, ""), base);
+    EXPECT_NE(key(other, cfg, ""), base);
 }
 
 TEST(TrialCache, ScenarioKeyCoversEventFields)
@@ -543,76 +605,6 @@ TEST(TrialCache, ScenarioKeyCoversEventFields)
     fl::Scenario scaled = sc;
     scaled.events[0].factor = 0.250000001;
     EXPECT_NE(pn::SearchDriver::scenarioKey(scaled), base);
-}
-
-// ---------------------------------------------------------------
-// Analytic prune tier
-// ---------------------------------------------------------------
-
-TEST(AnalyticPrune, DropsProvablyOomCandidateWithoutEmulation)
-{
-    // The uncompacted plan on bert-1.67b with 24 in-flight
-    // minibatches needs ~70 GiB per GPU against a 27 GiB usable
-    // capacity — the analyzer's memory lower bound proves the OOM,
-    // so the prune tier must reject the trial without spending an
-    // emulated iteration on it.
-    Job job("bert-1.67b", 24);
-    mu::ThreadPool pool(1);
-    pn::SearchDriver driver(job.topo, job.mdl, job.part, job.sched,
-                            {}, pool);
-    driver.setAnalyticPrune(true);
-
-    std::vector<cp::CompactionPlan> trials = {
-        {}, recomputeAll(job.part)};
-    auto out = driver.evaluate(trials);
-
-    auto stats = driver.pruneStats();
-    EXPECT_EQ(stats.scored, 2u);
-    EXPECT_GE(stats.prunedOom, 1u);
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_TRUE(out[0].pruned);
-    EXPECT_TRUE(out[0].report.oom);
-    // A pruned outcome is never acceptable to pickBest.
-    EXPECT_FALSE(out[0].verified);
-    // The feasible candidate runs the emulator as usual.
-    EXPECT_FALSE(out[1].pruned);
-    EXPECT_FALSE(out[1].report.oom);
-    // No emulation happened for the pruned trial: only the survivor
-    // reached the trial cache.
-    EXPECT_EQ(driver.cacheStats().misses, 1u);
-}
-
-TEST(AnalyticPrune, PerTrialBaselinesGateTheThroughputRule)
-{
-    Job job("bert-1.67b", 24);
-    mu::ThreadPool pool(1);
-    pn::SearchDriver driver(job.topo, job.mdl, job.part, job.sched,
-                            {}, pool);
-    driver.setAnalyticPrune(true);
-
-    // Against an absurd per-trial baseline the certificate's
-    // throughput upper bound proves the trial can't be accepted; a
-    // negative baseline disables the rule for that trial (the
-    // annealer's contract).
-    std::vector<cp::CompactionPlan> trials = {
-        recomputeAll(job.part), recomputeAll(job.part)};
-    auto out = driver.evaluate(trials, {1e9, -1.0});
-
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_TRUE(out[0].pruned);
-    EXPECT_FALSE(out[1].pruned);
-    EXPECT_GE(driver.pruneStats().prunedSlow, 1u);
-}
-
-TEST(AnalyticPrune, DisabledTierScoresNothing)
-{
-    Job job("bert-0.35b", 2);
-    mu::ThreadPool pool(1);
-    pn::SearchDriver driver(job.topo, job.mdl, job.part, job.sched,
-                            {}, pool);
-    driver.evaluate({recomputeAll(job.part)});
-    EXPECT_EQ(driver.pruneStats().scored, 0u);
-    EXPECT_EQ(driver.pruneStats().pruned(), 0u);
 }
 
 // ---------------------------------------------------------------
@@ -784,7 +776,128 @@ TEST(SharedTrialCache, DistinctJobsDoNotCollide)
     EXPECT_EQ(shared.size(), 2u);
     // Fewer in-flight minibatches -> different emulated makespan.
     EXPECT_NE(a.report.makespan, b.report.makespan);
+
+    // Identical cluster jobs that differ only in the NIC tier.  Both
+    // topologies carry the same name, so only the fabric content in
+    // the job key keeps the ib-ndr job from reading the roce100
+    // job's report.
+    auto with_nic = [](const char *nic) {
+        cl::ClusterSpec spec = cl::cluster2xDgx2();
+        spec.nicPreset = nic;
+        return cl::buildCluster(spec);
+    };
+    hw::Topology roce = with_nic("roce100");
+    hw::Topology ndr = with_nic("ib-ndr");
+    ASSERT_EQ(roce.name(), ndr.name());
+    mm::TransformerModel gpt(mm::presetByName("gpt-5.3b"), 2);
+    mp::Partition gpart =
+        mp::partitionModel(gpt, 16, mp::Strategy::ComputeBalanced);
+    pl::Schedule dapple =
+        pl::buildSchedule(pl::SystemKind::Dapple, 16, 16, 2);
+    auto gplan = pn::recomputeAllPlan(gpart);
+    pn::TrialCache nic_cache;
+
+    pn::SearchDriver rdrv(roce, gpt, gpart, dapple, {}, pool);
+    rdrv.setSharedCache(&nic_cache);
+    auto on_roce = rdrv.evaluateOne(gplan);
+
+    pn::SearchDriver ndrv(ndr, gpt, gpart, dapple, {}, pool);
+    ndrv.setSharedCache(&nic_cache);
+    auto on_ndr = ndrv.evaluateOne(gplan);
+
+    pn::SearchDriver fresh(ndr, gpt, gpart, dapple, {}, pool);
+    fresh.setCacheEnabled(false);
+    auto ndr_alone = fresh.evaluateOne(gplan);
+
+    EXPECT_EQ(ndrv.cacheStats().hits, 0u);
+    EXPECT_EQ(nic_cache.size(), 2u);
+    ASSERT_FALSE(on_ndr.report.oom);
+    EXPECT_EQ(on_ndr.report.samplesPerSec,
+              ndr_alone.report.samplesPerSec);
+    EXPECT_NE(on_ndr.report.samplesPerSec,
+              on_roce.report.samplesPerSec);
 }
+
+namespace {
+
+/** One ClusterSpec NIC knob moved off the 2x-dgx2 preset. */
+struct NicVariant
+{
+    const char *field;
+    void (*apply)(cl::ClusterSpec &);
+};
+
+std::ostream &
+operator<<(std::ostream &os, const NicVariant &v)
+{
+    return os << v.field;
+}
+
+class NicJobKey : public ::testing::TestWithParam<NicVariant>
+{};
+
+} // namespace
+
+TEST_P(NicJobKey, ChangedFieldGetsItsOwnCacheEntries)
+{
+    // buildCluster names both topologies "2x<node>", so only the
+    // fabric content in the job key can tell the two jobs apart.
+    cl::ClusterSpec base_spec = cl::cluster2xDgx2();
+    cl::ClusterSpec changed_spec = base_spec;
+    GetParam().apply(changed_spec);
+    hw::Topology base = cl::buildCluster(base_spec);
+    hw::Topology changed = cl::buildCluster(changed_spec);
+    ASSERT_EQ(base.name(), changed.name());
+
+    mm::TransformerModel gpt(mm::presetByName("gpt-5.3b"), 2);
+    mp::Partition part =
+        mp::partitionModel(gpt, 16, mp::Strategy::ComputeBalanced);
+    pl::Schedule sched =
+        pl::buildSchedule(pl::SystemKind::Dapple, 16, 16, 2);
+    auto plan = pn::recomputeAllPlan(part);
+    mu::ThreadPool pool(1);
+    pn::TrialCache shared;
+
+    pn::SearchDriver bdrv(base, gpt, part, sched, {}, pool);
+    bdrv.setSharedCache(&shared);
+    bdrv.evaluateOne(plan);
+
+    pn::SearchDriver cdrv(changed, gpt, part, sched, {}, pool);
+    cdrv.setSharedCache(&shared);
+    auto on_changed = cdrv.evaluateOne(plan);
+
+    pn::SearchDriver fresh(changed, gpt, part, sched, {}, pool);
+    fresh.setCacheEnabled(false);
+    auto changed_alone = fresh.evaluateOne(plan);
+
+    EXPECT_NE(cdrv.jobKey(), bdrv.jobKey());
+    // Rebuilding the same spec keys the same job.
+    pn::SearchDriver again(cl::buildCluster(changed_spec), gpt, part,
+                           sched, {}, pool);
+    EXPECT_EQ(again.jobKey(), cdrv.jobKey());
+
+    EXPECT_EQ(cdrv.cacheStats().hits, 0u);
+    EXPECT_EQ(shared.size(), 2u);
+    EXPECT_EQ(on_changed.report.makespan,
+              changed_alone.report.makespan);
+    EXPECT_EQ(on_changed.report.samplesPerSec,
+              changed_alone.report.samplesPerSec);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SharedTrialCache, NicJobKey,
+    ::testing::Values(
+        NicVariant{"nicPreset",
+                   [](cl::ClusterSpec &s) { s.nicPreset = "roce100"; }},
+        NicVariant{"nicGbps",
+                   [](cl::ClusterSpec &s) { s.nicGbps = 25.0; }},
+        NicVariant{"nicLatencyUs",
+                   [](cl::ClusterSpec &s) { s.nicLatencyUs = 80.0; }},
+        NicVariant{"nicsPerNode",
+                   [](cl::ClusterSpec &s) { s.nicsPerNode = 2; }}),
+    [](const ::testing::TestParamInfo<NicVariant> &info) {
+        return std::string(info.param.field);
+    });
 
 TEST(SharedTrialCache, PrewarmedPlanMPressIsByteIdentical)
 {

@@ -182,8 +182,36 @@ TEST(ServeProtocol, ParseRequestDefaultsMatchCli)
     EXPECT_EQ(parsed.request.job.minibatches, 2);
     EXPECT_EQ(parsed.request.job.threads, 1);
     EXPECT_FALSE(parsed.request.job.portfolio);
-    EXPECT_FALSE(parsed.request.job.analyticPrune);
     EXPECT_EQ(parsed.request.job.deadlineMs, 0.0);
+}
+
+TEST(ServeProtocol, UnknownJobFieldsAreIgnored)
+{
+    // Retired and misspelled job fields, at the top level or inside
+    // "job", are ignored: the request plans exactly the job it would
+    // plan without them, so old clients keep working when a field
+    // is removed.
+    sv::ParsedRequest top =
+        sv::parseRequest("{\"op\":\"plan\",\"noSuchField\":true}");
+    ASSERT_TRUE(top.ok) << top.error;
+    EXPECT_EQ(top.request.job.model, "bert-0.64b");
+    Harness h;
+    mu::JsonValue with = h.call(
+        "{\"op\":\"plan\",\"id\":\"w\",\"job\":{\"model\":"
+        "\"bert-0.35b\",\"noSuchField\":true}}");
+    mu::JsonValue without = h.call(
+        "{\"op\":\"plan\",\"id\":\"o\",\"job\":{\"model\":"
+        "\"bert-0.35b\"}}");
+    ASSERT_TRUE(with.boolOr("ok", false)) << errorKind(with);
+    ASSERT_TRUE(without.boolOr("ok", false)) << errorKind(without);
+    const mu::JsonValue *rw = with.find("result");
+    const mu::JsonValue *ro = without.find("result");
+    ASSERT_NE(rw, nullptr);
+    ASSERT_NE(ro, nullptr);
+    EXPECT_EQ(rw->stringOr("planText", "1"),
+              ro->stringOr("planText", "2"));
+    EXPECT_EQ(rw->numberOr("samplesPerSec", -1.0),
+              ro->numberOr("samplesPerSec", -2.0));
 }
 
 TEST(ServeProtocol, NestedJobObjectIsHonored)
@@ -374,6 +402,41 @@ TEST(ServeRobustness, ReplaysScenarioMatrix)
         "[{\"type\":\"gpu-straggle\",\"start_ms\":0,"
         "\"end_ms\":1,\"gpu\":64,\"factor\":2.0}]}]}";
     EXPECT_EQ(errorKind(h.call(bad)), "bad-request");
+}
+
+TEST(ServeRobustness, NicOnlyClusterJobsDoNotShareReports)
+{
+    // Every request shares the daemon's one trial cache.  Two cluster
+    // jobs that differ only in the NIC get the same topology name, so
+    // only the fabric content in the job key stops the second job
+    // from being answered with the first job's cached baseline.
+    auto request = [](const char *nic) {
+        return std::string(
+                   "{\"op\":\"robustness\",\"model\":\"gpt-5.3b\","
+                   "\"system\":\"dapple\",\"strategy\":\"recompute\","
+                   "\"microbatch\":2,\"mbPerMini\":16,"
+                   "\"cluster\":{\"nodes\":2,\"node\":\"dgx2\","
+                   "\"nic\":\"") +
+               nic +
+               "\"},\"scenarios\":[{\"name\":\"clean\","
+               "\"events\":[]}]}";
+    };
+    auto baseline = [](const mu::JsonValue &resp) {
+        EXPECT_TRUE(resp.boolOr("ok", false)) << errorKind(resp);
+        const mu::JsonValue *result = resp.find("result");
+        return result ? result->numberOr("baselineSamplesPerSec", -1.0)
+                      : -1.0;
+    };
+
+    Harness shared;
+    double roce = baseline(shared.call(request("roce100")));
+    double ndr = baseline(shared.call(request("ib-ndr")));
+    Harness fresh;
+    double ndr_alone = baseline(fresh.call(request("ib-ndr")));
+
+    EXPECT_GT(ndr_alone, 0.0);
+    EXPECT_EQ(ndr, ndr_alone);
+    EXPECT_NE(ndr, roce);
 }
 
 // ---------------------------------------------------------------
