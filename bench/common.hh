@@ -27,6 +27,7 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "api/session.hh"
 #include "util/strings.hh"
@@ -206,6 +207,54 @@ gptJob(const std::string &preset, api::Strategy strategy)
     cfg.strategy = strategy;
     return cfg;
 }
+
+/**
+ * A hand-built compaction plan: every layer of each stage keyed in
+ * @p grants is D2D-swapped into those spare-memory grants (stage s
+ * runs on GPU s), and every layer of each stage in @p host_stages is
+ * GPU-CPU-swapped.  The rest stays resident.
+ */
+inline compaction::CompactionPlan
+swapPlan(const partition::Partition &part,
+         const std::map<int, std::vector<compaction::SpareGrant>> &grants,
+         const std::vector<int> &host_stages)
+{
+    compaction::CompactionPlan plan;
+    auto assign = [&](int stage, compaction::Kind kind) {
+        const auto &st = part.stages[static_cast<std::size_t>(stage)];
+        for (std::size_t l = st.firstLayer; l <= st.lastLayer; ++l)
+            plan.activations[{stage, static_cast<int>(l)}] = kind;
+    };
+    for (const auto &[stage, list] : grants)
+        assign(stage, compaction::Kind::D2dSwap);
+    for (int stage : host_stages)
+        assign(stage, compaction::Kind::GpuCpuSwap);
+    plan.spareGrants = grants;
+    return plan;
+}
+
+/**
+ * A fixed D2D-plus-swap job on the NVSwitch DGX-2 (A100, 12 lanes
+ * between any GPU pair): GPT-5.3B on DAPPLE over 8 stages, stages 0-1
+ * D2D-swapped into spare memory on GPUs 4-7, so every stripe fans out
+ * over 12 egress and 12 ingress lanes, and stages 2-3 GPU-CPU-swapped.
+ * BM_FullIterationSwitchFabric replays it and the golden-digest tests
+ * pin its output, so the bench row times exactly the pinned run.
+ */
+struct SwitchFabricJob
+{
+    hw::Topology topo = hw::Topology::dgx2A100();
+    model::TransformerModel mdl{model::presetByName("gpt-5.3b"), 2};
+    partition::Partition part = partition::partitionModel(
+        mdl, 8, partition::Strategy::ComputeBalanced);
+    pipeline::Schedule sched =
+        pipeline::buildSchedule(pipeline::SystemKind::Dapple, 8, 16, 2);
+    compaction::CompactionPlan plan =
+        swapPlan(part,
+                 {{0, {{7, 24 * util::kGB}, {6, 24 * util::kGB}}},
+                  {1, {{5, 24 * util::kGB}, {4, 24 * util::kGB}}}},
+                 {2, 3});
+};
 
 /** DGX-1 server provisioned for the ZeRO baselines (Sec. IV-C). */
 inline hw::Topology

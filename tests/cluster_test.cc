@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,7 +19,6 @@
 #include "fault/scenario.hh"
 #include "hw/topology.hh"
 #include "model/model.hh"
-#include "obs/export.hh"
 #include "partition/partition.hh"
 #include "pipeline/schedule.hh"
 #include "planner/mapper.hh"
@@ -28,6 +26,8 @@
 #include "runtime/executor.hh"
 #include "util/pool.hh"
 #include "verify/verify.hh"
+
+#include "report_bytes.hh"
 
 namespace cl = mpress::cluster;
 namespace fault = mpress::fault;
@@ -41,6 +41,7 @@ namespace rt = mpress::runtime;
 namespace mu = mpress::util;
 namespace vf = mpress::verify;
 
+using mpress::testing::renderReportBytes;
 using mu::Bytes;
 
 // ---------------------------------------------------------------
@@ -573,48 +574,6 @@ TEST(ClusterDeterminism, OomRescuePlanIsByteIdenticalAcrossMatrix)
 // ---------------------------------------------------------------
 
 namespace {
-
-/** Serialize everything a TrainingReport observes about a run: the
- *  scalar outcome, per-GPU peaks, the execution trace and the metrics
- *  registry.  One reordered event anywhere shows up as a byte
- *  difference here. */
-std::string
-renderReportBytes(const rt::TrainingReport &r)
-{
-    std::ostringstream os;
-    os << "oom=" << r.oom << " gpu=" << r.oomGpu << " t="
-       << r.oomTime << " makespan=" << r.makespan << " steady="
-       << r.steadyIterTime << " sps=" << r.samplesPerSec
-       << " tflops=" << r.tflops << " host=" << r.hostPeak
-       << " nvl=" << r.nvlinkBusyTime << " pcie=" << r.pcieBusyTime
-       << " nic=" << r.nicBusyTime << " d2dovf=" << r.d2dOverflow
-       << " nvme=" << r.nvmeSpill << " sav=" << r.savings.recompute
-       << "/" << r.savings.gpuCpuSwap << "/" << r.savings.d2dSwap
-       << "\n";
-    for (const auto &g : r.gpus) {
-        os << "gpu" << g.gpu << " peak=" << g.peak << " act="
-           << g.peakActivations << " final=" << g.finalUsed
-           << " util=" << g.computeUtilization << "\n";
-    }
-    for (const auto &o : r.overheads) {
-        os << "stage" << o.stage << " rc=" << o.recomputeTime
-           << " si=" << o.swapInStall << " op=" << o.optimStall
-           << "\n";
-    }
-    os << "faults " << r.faults.degradedTransfers << " "
-       << r.faults.transferFailures << " " << r.faults.retries << " "
-       << r.faults.fallbackGpuCpuSwap << " "
-       << r.faults.fallbackRecompute << " "
-       << r.faults.straggledTasks << " "
-       << r.faults.hostPressureEvents << "\n";
-    for (const auto &m : r.memTimeline) {
-        os << "mem " << m.time << " " << m.gpu << " " << m.used
-           << "\n";
-    }
-    r.trace.exportChromeTrace(os);
-    mpress::obs::exportJson(os, r.observability);
-    return os.str();
-}
 
 /** A fault scenario stressing every cross-node mechanism: failing
  *  D2D stripes (retry ladder), a straggler, and host pressure. */
