@@ -3,7 +3,7 @@
  * google-benchmark microbenchmarks for the engine primitives that
  * every experiment leans on: event queue throughput, stream
  * submission, stripe-plan construction, schedule generation,
- * partitioning, and a full end-to-end simulated iteration.
+ * partitioning, and full end-to-end simulated iterations.
  *
  * The event-queue benches cover the three shapes that matter:
  *  - BM_EventQueue: captureless closures (std::function's best case —
@@ -305,6 +305,31 @@ BM_FullIterationObserved(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FullIterationObserved);
+
+static void
+BM_FullIterationSwitchFabric(benchmark::State &state)
+{
+    // The fixed D2D-plus-swap plan on the DGX-2 switch fabric (the
+    // run tests/golden_test.cc pins), replayed on a reused arena the
+    // way planner trials run.  Unlike BM_FullIteration's empty DGX-1
+    // plan it exercises 12-lane striped transfers and per-instance
+    // swap state.  events_per_run is exact and host-independent, so
+    // tools/check.sh gates it against the committed count.
+    mpress::bench::SwitchFabricJob job;
+    rt::ExecutorArena arena;
+    rt::ExecutorConfig ec;
+    ec.arena = &arena;
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        auto report = rt::runTraining(job.topo, job.mdl, job.part,
+                                      job.sched, job.plan, ec);
+        events = report.shardStats[0].events;
+        benchmark::DoNotOptimize(report.makespan);
+    }
+    state.counters["events_per_run"] =
+        benchmark::Counter(static_cast<double>(events));
+}
+BENCHMARK(BM_FullIterationSwitchFabric);
 
 namespace {
 

@@ -8,6 +8,20 @@
 namespace mpress {
 namespace hw {
 
+namespace {
+
+/** Book @p dur on each of @p lanes in order; returns the latest end
+ *  tick, or @p end if that is later. */
+Tick
+occupyLanes(const std::vector<sim::Stream *> &lanes, Tick dur, Tick end)
+{
+    for (sim::Stream *lane : lanes)
+        end = std::max(end, lane->occupy(dur));
+    return end;
+}
+
+} // namespace
+
 const char *
 fabricResourceName(FabricResource r)
 {
@@ -190,17 +204,19 @@ Fabric::stripedTransfer(FabricResource res, int src, int dst,
 
     // The transfer completes when every occupied lane finishes.  The
     // ingress side (switch fabrics) is occupied for the same duration.
-    // The callback moves straight into the counter; JoinCounter
-    // already guards against an empty one.
-    int joins = k + static_cast<int>(in_lanes.size());
-    auto join =
-        std::make_shared<sim::JoinCounter>(joins, std::move(done));
-    for (sim::Stream *lane : out_lanes) {
-        lane->submit(dur, [join](Tick, Tick) { join->arrive(); });
-    }
-    for (sim::Stream *lane : in_lanes) {
-        lane->submit(dur, [join](Tick, Tick) { join->arrive(); });
-    }
+    // Every lane is booked now, at issue time, and one engine event
+    // at the latest lane end runs done.  That is byte-identical to
+    // one event per lane joined by a counter: those lane events only
+    // counted down, and done ran inside the last of them to fire —
+    // the latest end tick, ties going to the lane booked last.  They
+    // all took consecutive sequence numbers inside this call, so one
+    // event scheduled here at that tick keeps the same place in the
+    // engine's (tick, seq) order relative to every other event.  An
+    // empty done still gets its event: a run's makespan is its
+    // engine's final now().
+    Tick end = occupyLanes(out_lanes, dur, 0);
+    end = occupyLanes(in_lanes, dur, end);
+    engineFor(_topo.nodeOf(src)).schedule(end, std::move(done));
 }
 
 void
@@ -221,11 +237,9 @@ Fabric::ingressLeg(const std::shared_ptr<CrossXfer> &xfer)
     auto in = pickLanes(_nicIn[dst_node], xfer->lanes);
     Tick dur = shaped(FabricResource::NicIngress, dst_node, xfer->src,
                       xfer->dst, xfer->bytes, xfer->wire);
-    auto join = std::make_shared<sim::JoinCounter>(
-        static_cast<int>(in.size()), std::move(xfer->done));
-    for (sim::Stream *lane : in) {
-        lane->submit(dur, [join](Tick, Tick) { join->arrive(); });
-    }
+    // One event per leg, for the reason given in stripedTransfer().
+    engineFor(dst_node).schedule(occupyLanes(in, dur, 0),
+                                 std::move(xfer->done));
 }
 
 void
@@ -261,18 +275,14 @@ Fabric::crossNodeTransfer(int src, int dst, Bytes bytes, int lanes,
     auto out = pickLanes(_nicOut[src_node], lanes);
     Tick out_dur = shaped(FabricResource::NicEgress, src_node, src,
                           dst, bytes, wire);
-    auto join = std::make_shared<sim::JoinCounter>(
-        static_cast<int>(out.size()),
-        Done([xfer, src_node, dst_node] {
+    engineFor(src_node).schedule(
+        occupyLanes(out, out_dur, 0), [xfer, src_node, dst_node] {
             Fabric *fab = xfer->fab;
             Tick when = fab->engineFor(src_node).now() +
                         fab->_lookahead;
             fab->postCross(src_node, dst_node, when,
                            [xfer] { xfer->fab->ingressLeg(xfer); });
-        }));
-    for (sim::Stream *lane : out) {
-        lane->submit(out_dur, [join](Tick, Tick) { join->arrive(); });
-    }
+        });
 }
 
 void

@@ -8,7 +8,9 @@
  * Lanes are modelled as in-order streams.  A transfer striped over k
  * lanes places bytes/k on each lane and completes when the slowest
  * lane finishes — exactly the data-striping execution model of
- * Sec. III-C.
+ * Sec. III-C.  Every lane is booked when the transfer is issued, so
+ * the slowest lane's end is known then: the transfer (each NIC leg of
+ * a cross-node one) costs a single engine event, not one per lane.
  *
  * Multi-node fabrics are shard-aware: every stream is bound to its
  * owning node's engine, and a cross-node transfer runs as two legs —
@@ -59,7 +61,8 @@ class Fabric
 {
   public:
     /** Per-transfer completion; shares the engine's inline-callable
-     *  type so it moves into schedule()/JoinCounter without a wrap. */
+     *  type so it moves into the transfer's one engine event without
+     *  a wrap. */
     using Done = sim::EventFn;
 
     /** Visitor over fabric streams:

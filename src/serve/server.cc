@@ -220,9 +220,17 @@ Server::acceptLoop()
             ::close(fd);
             return;
         }
-        _conns.push_back(conn);
-        _readers.emplace_back(
-            [this, conn] { readerLoop(std::move(conn)); });
+        // Join readers whose loop has returned: an unjoined thread
+        // keeps its stack mapped, so without this every connection
+        // ever accepted would hold one until stop().
+        std::erase_if(_readers, [](Reader &r) {
+            if (!r.conn->readerDone)
+                return false;
+            r.thread.join();
+            return true;
+        });
+        _readers.push_back(
+            {std::thread([this, conn] { readerLoop(conn); }), conn});
     }
 }
 
@@ -269,6 +277,7 @@ Server::readerLoop(std::shared_ptr<Connection> conn)
     conn->open = false;
     ::close(conn->fd);
     conn->fd = -1;
+    conn->readerDone = true;
 }
 
 void
@@ -670,17 +679,15 @@ Server::stop()
     // Readers own the close.
     {
         std::lock_guard<std::mutex> lock(_mu);
-        for (auto &weak : _conns) {
-            if (auto conn = weak.lock()) {
-                std::lock_guard<std::mutex> wl(conn->writeMu);
-                if (conn->open)
-                    ::shutdown(conn->fd, SHUT_RD);
-            }
+        for (auto &reader : _readers) {
+            std::lock_guard<std::mutex> wl(reader.conn->writeMu);
+            if (reader.conn->open)
+                ::shutdown(reader.conn->fd, SHUT_RD);
         }
     }
     for (auto &reader : _readers) {
-        if (reader.joinable())
-            reader.join();
+        if (reader.thread.joinable())
+            reader.thread.join();
     }
     if (_dispatchThread.joinable())
         _dispatchThread.join();

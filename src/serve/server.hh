@@ -24,7 +24,8 @@
  * would.  Each connection gets a reader thread that answers
  * ping/stats inline and enqueues the rest, so a client can keep many
  * requests in flight on one socket; responses carry the request id
- * and may complete out of order.
+ * and may complete out of order.  The accept loop joins the readers
+ * of closed connections, so churn does not accumulate threads.
  *
  * Deadlines: a request's deadlineMs maps onto the planner's anytime
  * contract (PlannerConfig::deadlineMs) — the refinement race is cut
@@ -138,6 +139,16 @@ class Server
         int fd = -1;
         std::mutex writeMu;
         bool open = true;
+        /** Set by the reader as it returns, so its thread can be
+         *  joined at once. */
+        std::atomic<bool> readerDone{false};
+    };
+
+    /** A connection and the thread reading it. */
+    struct Reader
+    {
+        std::thread thread;
+        std::shared_ptr<Connection> conn;
     };
 
     /** One admitted unit of work. */
@@ -187,8 +198,9 @@ class Server
     int _inFlight = 0;
     bool _stopping = false;
     bool _shutdownRequested = false;
-    std::vector<std::thread> _readers;
-    std::vector<std::weak_ptr<Connection>> _conns;
+    /** Readers not yet joined: acceptLoop joins and drops the
+     *  finished ones on every accept, stop() joins the rest. */
+    std::vector<Reader> _readers;
 
     std::atomic<std::uint64_t> _requests{0};
     std::atomic<std::uint64_t> _planRequests{0};

@@ -19,6 +19,10 @@
  * events pop heads in exactly submission order.  The engine-visible
  * schedule (end tick and sequence per submit) is unchanged from the
  * capture-the-callback formulation, so simulations are byte-identical.
+ *
+ * The cheapest event is the one never scheduled: occupy() books a
+ * task without an event, so a transfer striped over k lanes costs
+ * one engine event rather than k (see hw::Fabric).
  */
 
 #ifndef MPRESS_SIM_STREAM_HH
@@ -78,6 +82,21 @@ class Stream
     void
     submit(Tick duration, Completion on_complete)
     {
+        Tick end = occupy(duration);
+        pushPending(end - duration, end, std::move(on_complete));
+        _engine.schedule(end, [this] { finishHead(); });
+    }
+
+    /**
+     * Book a task of @p duration ticks exactly as submit() does —
+     * start at max(now, busyUntil), busy time, task count, TaskHook —
+     * but schedule no event; returns the end tick.  A caller that
+     * joins several lanes (the fabric's striped transfers) schedules
+     * one event of its own at the latest end.
+     */
+    Tick
+    occupy(Tick duration)
+    {
         Tick start = std::max(_engine.now(), _busyUntil);
         Tick end = start + duration;
         _busyUntil = end;
@@ -85,8 +104,7 @@ class Stream
         ++_tasks;
         if (_hook)
             _hook(start, end);
-        pushPending(start, end, std::move(on_complete));
-        _engine.schedule(end, [this] { finishHead(); });
+        return end;
     }
 
     /** Install (or clear) the per-task occupancy observer. */
@@ -201,11 +219,11 @@ class Stream
 };
 
 /**
- * Fires a callback once a fixed number of dependencies have completed.
- *
- * Used to express join points in the pipeline task DAG (e.g. a
- * backward task waiting on both the downstream gradient arrival and
- * a swap-in completing).
+ * Fires a callback once a fixed number of dependencies have completed,
+ * each in an engine event of its own (the tensor-parallel baseline
+ * joins its all-reduces this way).  The fabric's striped transfers do
+ * not use it: every lane is booked at issue time, so the join's tick
+ * is known up front and one event suffices (Stream::occupy()).
  */
 class JoinCounter
 {

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "cluster/cluster.hh"
 #include "hw/fabric.hh"
 #include "hw/gpu.hh"
 #include "hw/link.hh"
@@ -413,4 +418,102 @@ TEST(Topology, MultiNodeRejectsZeroNodes)
     EXPECT_DEATH(hw::Topology::multiNode(
                      node, 0, 1, hw::Topology::infinibandHdr()),
                  "at least one node");
+}
+
+TEST(Fabric, StripedTransferIsOneEngineEvent)
+{
+    // A striped transfer books every lane at issue time and runs one
+    // engine event, at the latest lane end, that fires done.  The
+    // lanes' occupancy and the event's place in the (tick, seq) order
+    // are what a join over one event per lane produced.
+    auto topo = hw::Topology::dgx2A100();
+    const mu::Bytes size = 96 * mu::kMiB;
+    const Tick d12 = topo.nvlinkSpec().transferTime((size + 11) / 12);
+    const Tick d1 = topo.nvlinkSpec().transferTime(size);
+
+    // Idle fabric: twelve egress and twelve ingress lanes, one event.
+    {
+        Engine eng;
+        hw::Fabric fab(eng, topo);
+        Tick done_at = -1;
+        fab.d2dTransfer(0, 1, size, 12, [&] { done_at = eng.now(); });
+        eng.run();
+        EXPECT_EQ(eng.eventsExecuted(), 1u);
+        EXPECT_EQ(done_at, d12);
+    }
+
+    // One egress lane already busy: done waits for that lane's later
+    // end, and every lane's books match a hand count.
+    {
+        Engine eng;
+        hw::Fabric fab(eng, topo);
+        Tick busy_at = -1;
+        Tick done_at = -1;
+        fab.d2dTransfer(0, 1, size, 1, [&] { busy_at = eng.now(); });
+        fab.d2dTransfer(0, 2, size, 12, [&] { done_at = eng.now(); });
+        eng.run();
+        EXPECT_EQ(eng.eventsExecuted(), 2u);
+        EXPECT_EQ(busy_at, d1);
+        EXPECT_EQ(done_at, d1 + d12);
+
+        struct Books
+        {
+            Tick busyUntil = 0;
+            Tick busyTime = 0;
+            std::uint64_t tasks = 0;
+        };
+        std::map<std::string, Books> want;
+        want["gpu0.out0"] = {d1 + d12, d1 + d12, 2};
+        for (int l = 1; l < 12; ++l)
+            want["gpu0.out" + std::to_string(l)] = {d12, d12, 1};
+        want["gpu1.in0"] = {d1, d1, 1};
+        for (int l = 0; l < 12; ++l)
+            want["gpu2.in" + std::to_string(l)] = {d12, d12, 1};
+        fab.visitStreams([&](hw::FabricResource, int, int,
+                             mpress::sim::Stream &s) {
+            auto it = want.find(std::string(s.name()));
+            Books w = it == want.end() ? Books{} : it->second;
+            EXPECT_EQ(s.busyUntil(), w.busyUntil) << s.name();
+            EXPECT_EQ(s.busyTime(), w.busyTime) << s.name();
+            EXPECT_EQ(s.tasks(), w.tasks) << s.name();
+        });
+    }
+
+    // Same-tick order: an event scheduled before the transfer fires
+    // before done, one scheduled after it fires after done.
+    {
+        Engine eng;
+        hw::Fabric fab(eng, topo);
+        std::vector<char> order;
+        eng.schedule(d12, [&] { order.push_back('a'); });
+        fab.d2dTransfer(0, 1, size, 12, [&] { order.push_back('d'); });
+        eng.schedule(d12, [&] { order.push_back('b'); });
+        eng.run();
+        EXPECT_EQ(order, (std::vector<char>{'a', 'd', 'b'}));
+    }
+
+    // An empty done still moves simulated time to the end tick.
+    {
+        Engine eng;
+        hw::Fabric fab(eng, topo);
+        fab.d2dTransfer(0, 1, size, 12, {});
+        eng.run();
+        EXPECT_EQ(eng.eventsExecuted(), 1u);
+        EXPECT_EQ(eng.now(), d12);
+    }
+
+    // Across nodes: one event per NIC leg plus the cross-node
+    // message, however many NICs each leg stripes over.
+    {
+        auto spec = mpress::cluster::cluster2xDgx2();
+        spec.nicsPerNode = 4;
+        auto cluster = mpress::cluster::buildCluster(spec);
+        Engine eng;
+        hw::Fabric fab(eng, cluster);
+        Tick done_at = -1;
+        fab.d2dTransfer(0, 8, size, 0, [&] { done_at = eng.now(); });
+        eng.run();
+        EXPECT_EQ(eng.eventsExecuted(), 3u);
+        EXPECT_EQ(done_at, fab.estimateD2d(0, 8, size, 0));
+    }
 }

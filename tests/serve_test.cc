@@ -9,6 +9,7 @@
  */
 
 #include <chrono>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -437,6 +438,58 @@ TEST(ServeRobustness, NicOnlyClusterJobsDoNotShareReports)
     EXPECT_GT(ndr_alone, 0.0);
     EXPECT_EQ(ndr, ndr_alone);
     EXPECT_NE(ndr, roce);
+}
+
+namespace {
+
+/** VmSize of this process in KiB, from /proc/self/status (0 when
+ *  unreadable). */
+long
+vmSizeKb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stol(line.substr(7));
+    }
+    return 0;
+}
+
+} // namespace
+
+TEST(ServeRobustness, ConnectionChurnKeepsMemoryFlat)
+{
+    // Every closed connection's reader thread must be joined while
+    // the server runs, not only at stop(): an unjoined thread keeps
+    // its whole stack mapped, so churn would grow the address space
+    // by one stack per connection ever accepted.  A warm-up first
+    // lets the allocator map the per-thread arenas (64 MiB of
+    // address space each, reused once a thread exits) that the few
+    // concurrently live readers need; the 500 cycles after it are
+    // what is measured.
+    sv::Server server{sv::ServerConfig{}};
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    auto cycle = [&] {
+        sv::Client client;
+        ASSERT_TRUE(client.connect(server.port(), &error)) << error;
+        std::string response;
+        ASSERT_TRUE(client.call("{\"op\":\"ping\"}", &response,
+                                &error))
+            << error;
+        client.close();
+    };
+    for (int i = 0; i < 50; ++i)
+        cycle();
+    const long before = vmSizeKb();
+    ASSERT_GT(before, 0);
+    for (int i = 0; i < 500; ++i)
+        cycle();
+    const long growth_kb = vmSizeKb() - before;
+    server.stop();
+    EXPECT_LT(growth_kb, 256 * 1024) << "VmSize grew " << growth_kb
+                                     << " KiB over 500 connections";
 }
 
 // ---------------------------------------------------------------

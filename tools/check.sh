@@ -231,11 +231,13 @@ if [ "$run_tsan" = 1 ]; then
     # drives concurrently, the fault suites, the determinism suite
     # that exercises threads=1 vs threads=4, and the serve daemon
     # (request workers + readers sharing the resident trial cache and
-    # per-connection write locks).
+    # per-connection write locks), the fabric, and the golden digests,
+    # whose cross-node case runs shard workers that write the
+    # executor's shared per-instance state from different threads.
     cmake -B build-tsan -S . -DMPRESS_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "$jobs"
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-        -R 'ThreadPool|Mapper|SearchDriver|SharedTrialCache|BudgetGate|BudgetLedger|Determinism|Planner|Runtime|Fault|Ladder|Robustness|Injector|Analysis|Serve|Cli|Cluster|WorkerArena'
+        -R 'ThreadPool|Mapper|SearchDriver|SharedTrialCache|BudgetGate|BudgetLedger|Determinism|Planner|Runtime|Fault|Ladder|Robustness|Injector|Analysis|Serve|Cli|Cluster|WorkerArena|Fabric|GoldenDigest'
 
     echo "== sweep smoke (TSan) =="
     sweep=$(mktemp -d)
@@ -297,9 +299,11 @@ if [ "$run_perf" = 1 ]; then
     # Event-queue throughput vs the committed baseline.  Wide (30%)
     # tolerance: this catches "someone reintroduced a heap alloc per
     # event", not single-digit regressions, and must not flake on a
-    # loaded CI box.  After deliberate engine changes, refresh the
-    # committed BENCH_sim.json from the repo root with the full,
-    # unfiltered bench:
+    # loaded CI box.  The switch-fabric iteration's event count is
+    # exact on any host, so it gets an exact gate: more events than
+    # committed means per-lane transfer events came back.  After
+    # deliberate engine changes, refresh the committed BENCH_sim.json
+    # from the repo root with the full, unfiltered bench:
     #   MPRESS_BENCH_DIR=. MPRESS_GIT_REV=$(git rev-parse --short HEAD) \
     #   MPRESS_BENCH_DATE=$(date -u +%Y-%m-%d) \
     #       ./build-perf/bench/bench_sim_micro
@@ -311,7 +315,7 @@ if [ "$run_perf" = 1 ]; then
     MPRESS_GIT_REV=$(git rev-parse --short HEAD 2>/dev/null || echo unknown) \
     MPRESS_BENCH_DATE=$(date -u +%Y-%m-%d) \
         ./build-perf/bench/bench_sim_micro \
-        --benchmark_filter='BM_EventQueue|BM_EventChainSteady' \
+        --benchmark_filter='BM_EventQueue|BM_EventChainSteady|BM_FullIterationSwitchFabric' \
         --benchmark_min_time=0.5 >/dev/null
     python3 - "$perf/BENCH_sim.json" BENCH_sim.json <<'EOF'
 import json, sys
@@ -331,9 +335,17 @@ for name in ("BM_EventQueue/100000", "BM_EventChainSteady/64"):
     if ape > 0.01:
         print("%-28s allocs/event %.3f > 0.01 FAIL" % (name, ape))
         failed = True
+name = "BM_FullIterationSwitchFabric"
+want = base[name]["events_per_run"]
+got = fresh[name]["events_per_run"]
+status = "ok" if got <= want else "REGRESSED"
+print("%-28s %8d events/run vs baseline %8d %s"
+      % (name, got, want, status))
+failed = failed or got > want
 if failed:
-    sys.exit("perf smoke failed: event queue slower than baseline "
-             "- investigate before updating BENCH_sim.json")
+    sys.exit("perf smoke failed: event queue slower or more events "
+             "than baseline - investigate before updating "
+             "BENCH_sim.json")
 EOF
 
     echo "== planner search smoke (Release + IPO) =="
