@@ -32,7 +32,6 @@
 #include "planner/mapper.hh"
 #include "runtime/executor.hh"
 #include "sim/engine.hh"
-#include "sim/shard.hh"
 #include "util/inline_function.hh"
 
 namespace cp = mpress::compaction;
@@ -182,45 +181,35 @@ BM_StripePlan(benchmark::State &state)
 BENCHMARK(BM_StripePlan);
 
 static void
-BM_ShardedWindows(benchmark::State &state)
+BM_NodeWindows(benchmark::State &state)
 {
-    // Conservative-window overhead of the sharded engine: a ring of
-    // shards exchanging mailbox messages every lookahead interval —
-    // the pure coordination cost (window bounds, barrier, merge,
-    // injection) with trivial event bodies.  Serial (workers=1), so
-    // the number measures window mechanics rather than thread
-    // scaling, which a 1-core CI box could not see anyway.
-    const int shards = static_cast<int>(state.range(0));
-    const mpress::sim::Tick lookahead = 1000;
+    // Window bookkeeping of a node-partitioned engine: a ring of
+    // nodes passing one message per lookahead, so every window holds
+    // a single trivial event — the per-window cost at its worst.
+    // windows_per_run is exact on any host.
+    const int nodes = static_cast<int>(state.range(0));
     const int hops = 2000;
-    std::vector<std::unique_ptr<Engine>> engines;
-    std::vector<Engine *> raw;
-    for (int i = 0; i < shards; ++i) {
-        engines.push_back(std::make_unique<Engine>());
-        raw.push_back(engines.back().get());
-    }
-    mpress::sim::ShardGroup group(raw, lookahead);
+    Engine eng;
+    eng.partition(nodes, 1000);
     std::uint64_t windows = 0;
     for (auto _ : state) {
         struct Hopper
         {
-            mpress::sim::ShardGroup &g;
-            std::vector<Engine *> &e;
+            Engine &e;
+            int nodes;
             int remaining;
             void hop(int src)
             {
                 if (remaining-- <= 0)
                     return;
-                int dst = (src + 1) %
-                          static_cast<int>(e.size());
-                g.post(src, dst, e[src]->now() + 1000,
-                       [this, dst] { hop(dst); });
+                int dst = (src + 1) % nodes;
+                e.post(dst, [this, dst] { hop(dst); });
             }
-        } hopper{group, raw, hops};
-        raw[0]->schedule(0, [&hopper] { hopper.hop(0); });
-        group.run(1);
-        windows += group.windowsRun();
-        group.reset();
+        } hopper{eng, nodes, hops};
+        eng.scheduleOn(0, 0, [&hopper] { hopper.hop(0); });
+        eng.run();
+        windows += eng.windows();
+        eng.reset();
     }
     state.counters["windows_per_run"] = benchmark::Counter(
         state.iterations() > 0
@@ -228,7 +217,7 @@ BM_ShardedWindows(benchmark::State &state)
                   static_cast<double>(state.iterations())
             : 0);
 }
-BENCHMARK(BM_ShardedWindows)->Arg(2)->Arg(8);
+BENCHMARK(BM_NodeWindows)->Arg(2)->Arg(8);
 
 static void
 BM_ScheduleGeneration(benchmark::State &state)

@@ -24,7 +24,7 @@ class Injector
   public:
     /**
      * @param seed_salt  mixed into the PRNG seed so each node of a
-     *  sharded simulation draws an independent deterministic stream;
+     *  multi-node simulation draws an independent deterministic stream;
      *  node 0 uses salt 0, which reproduces the unsalted stream
      *  exactly (single-node runs are byte-identical).
      */

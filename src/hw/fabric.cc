@@ -52,30 +52,15 @@ Fabric::lookaheadFor(const Topology &topo)
     if (!topo.multiNodeFabric())
         return 0;
     // A cross-node effect is delayed by at least the NIC launch
-    // latency.  Clamp to one tick so the shard windows always make
-    // progress even with a degenerate zero-latency NIC spec.
+    // latency.  Clamp to one tick, the least lookahead a partitioned
+    // engine takes, even with a degenerate zero-latency NIC spec.
     return std::max<Tick>(topo.nicSpec().latency, 1);
 }
 
-Fabric::Fabric(sim::Engine &engine, const Topology &topo) : _topo(topo)
+Fabric::Fabric(sim::Engine &engine, const Topology &topo)
+    : _engine(engine), _topo(topo), _lookahead(lookaheadFor(topo))
 {
-    _engines.assign(1, &engine);
-    _lookahead = lookaheadFor(topo);
-    build();
-}
-
-Fabric::Fabric(sim::ShardGroup &group, const Topology &topo)
-    : _topo(topo), _group(&group)
-{
-    if (group.shards() != topo.numNodes()) {
-        util::panic("sharded fabric needs one shard per node "
-                    "(%d shards, %d nodes)",
-                    group.shards(), topo.numNodes());
-    }
-    _engines.reserve(static_cast<std::size_t>(group.shards()));
-    for (int s = 0; s < group.shards(); ++s)
-        _engines.push_back(&group.shard(s));
-    _lookahead = lookaheadFor(topo);
+    _engine.partition(topo.numNodes(), _lookahead);
     build();
 }
 
@@ -89,12 +74,11 @@ Fabric::build()
         _ingress.resize(n);
         const int ports = _topo.gpu().nvlinkPorts;
         for (int g = 0; g < n; ++g) {
-            sim::Engine &eng = engineFor(_topo.nodeOf(g));
             for (int p = 0; p < ports; ++p) {
                 _egress[g].lanes.push_back(std::make_unique<sim::Stream>(
-                    eng, util::strformat("gpu%d.out%d", g, p)));
+                    _engine, util::strformat("gpu%d.out%d", g, p)));
                 _ingress[g].lanes.push_back(std::make_unique<sim::Stream>(
-                    eng, util::strformat("gpu%d.in%d", g, p)));
+                    _engine, util::strformat("gpu%d.in%d", g, p)));
             }
         }
     } else {
@@ -106,10 +90,9 @@ Fabric::build()
                 if (lanes == 0)
                     continue;
                 LanePool pool;
-                sim::Engine &eng = engineFor(_topo.nodeOf(a));
                 for (int l = 0; l < lanes; ++l) {
                     pool.lanes.push_back(std::make_unique<sim::Stream>(
-                        eng,
+                        _engine,
                         util::strformat("nv%d-%d.%d", a, b, l)));
                 }
                 _pairLanes.emplace(std::make_pair(a, b),
@@ -124,30 +107,27 @@ Fabric::build()
         _nicOut.resize(nodes);
         _nicIn.resize(nodes);
         for (int nd = 0; nd < nodes; ++nd) {
-            sim::Engine &eng = engineFor(nd);
             for (int c = 0; c < nics; ++c) {
                 _nicOut[nd].lanes.push_back(
                     std::make_unique<sim::Stream>(
-                        eng,
+                        _engine,
                         util::strformat("node%d.nic%d.out", nd, c)));
                 _nicIn[nd].lanes.push_back(
                     std::make_unique<sim::Stream>(
-                        eng,
+                        _engine,
                         util::strformat("node%d.nic%d.in", nd, c)));
             }
         }
     }
 
     for (int g = 0; g < n; ++g) {
-        sim::Engine &eng = engineFor(_topo.nodeOf(g));
         _pcieDown.push_back(std::make_unique<sim::Stream>(
-            eng, util::strformat("pcie%d.d2h", g)));
+            _engine, util::strformat("pcie%d.d2h", g)));
         _pcieUp.push_back(std::make_unique<sim::Stream>(
-            eng, util::strformat("pcie%d.h2d", g)));
+            _engine, util::strformat("pcie%d.h2d", g)));
     }
     const int nodes = _topo.numNodes();
     for (int nd = 0; nd < nodes; ++nd) {
-        sim::Engine &eng = engineFor(nd);
         // Single-node keeps the historical channel names.
         std::string wr = nodes == 1
                              ? std::string("nvme.write")
@@ -156,9 +136,9 @@ Fabric::build()
                              ? std::string("nvme.read")
                              : util::strformat("node%d.nvme.read", nd);
         _nvmeWrite.push_back(
-            std::make_unique<sim::Stream>(eng, std::move(wr)));
+            std::make_unique<sim::Stream>(_engine, std::move(wr)));
         _nvmeRead.push_back(
-            std::make_unique<sim::Stream>(eng, std::move(rd)));
+            std::make_unique<sim::Stream>(_engine, std::move(rd)));
     }
 }
 
@@ -216,18 +196,7 @@ Fabric::stripedTransfer(FabricResource res, int src, int dst,
     // engine's final now().
     Tick end = occupyLanes(out_lanes, dur, 0);
     end = occupyLanes(in_lanes, dur, end);
-    engineFor(_topo.nodeOf(src)).schedule(end, std::move(done));
-}
-
-void
-Fabric::postCross(int src_node, int dst_node, Tick when,
-                  sim::EventFn fn)
-{
-    if (_group != nullptr) {
-        _group->post(src_node, dst_node, when, std::move(fn));
-        return;
-    }
-    _engines[0]->schedule(when, std::move(fn));
+    _engine.schedule(end, std::move(done));
 }
 
 void
@@ -238,8 +207,7 @@ Fabric::ingressLeg(const std::shared_ptr<CrossXfer> &xfer)
     Tick dur = shaped(FabricResource::NicIngress, dst_node, xfer->src,
                       xfer->dst, xfer->bytes, xfer->wire);
     // One event per leg, for the reason given in stripedTransfer().
-    engineFor(dst_node).schedule(occupyLanes(in, dur, 0),
-                                 std::move(xfer->done));
+    _engine.schedule(occupyLanes(in, dur, 0), std::move(xfer->done));
 }
 
 void
@@ -249,12 +217,10 @@ Fabric::crossNodeTransfer(int src, int dst, Bytes bytes, int lanes,
     // Store-and-forward two-leg model: the payload occupies the
     // source node's egress NICs for one wire time, crosses the node
     // boundary as a message delayed by the NIC launch latency (the
-    // shard lookahead floor), then occupies the destination node's
+    // engine's lookahead), then occupies the destination node's
     // ingress NICs for another wire time.  Each leg is shaped on its
-    // own node, and the completion fires on the destination node's
-    // engine — no instantaneous cross-node side effects, which is
-    // exactly what lets the shards run a full lookahead window
-    // without synchronizing.
+    // own node, and the completion fires on the destination node —
+    // no instantaneous cross-node side effects.
     const int src_node = _topo.nodeOf(src);
     const int dst_node = _topo.nodeOf(dst);
     const LinkSpec &spec = _topo.nicSpec();
@@ -275,14 +241,10 @@ Fabric::crossNodeTransfer(int src, int dst, Bytes bytes, int lanes,
     auto out = pickLanes(_nicOut[src_node], lanes);
     Tick out_dur = shaped(FabricResource::NicEgress, src_node, src,
                           dst, bytes, wire);
-    engineFor(src_node).schedule(
-        occupyLanes(out, out_dur, 0), [xfer, src_node, dst_node] {
-            Fabric *fab = xfer->fab;
-            Tick when = fab->engineFor(src_node).now() +
-                        fab->_lookahead;
-            fab->postCross(src_node, dst_node, when,
-                           [xfer] { xfer->fab->ingressLeg(xfer); });
-        });
+    _engine.schedule(occupyLanes(out, out_dur, 0), [xfer, dst_node] {
+        xfer->fab->_engine.post(
+            dst_node, [xfer] { xfer->fab->ingressLeg(xfer); });
+    });
 }
 
 void

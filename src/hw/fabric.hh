@@ -12,13 +12,12 @@
  * the slowest lane's end is known then: the transfer (each NIC leg of
  * a cross-node one) costs a single engine event, not one per lane.
  *
- * Multi-node fabrics are shard-aware: every stream is bound to its
- * owning node's engine, and a cross-node transfer runs as two legs —
- * wire time on the source node's egress NICs, a cross-shard message
- * delayed by the NIC launch latency (the shard lookahead floor), then
- * wire time on the destination node's ingress NICs.  The same model
- * executes on a single engine (legacy ctor) and on a ShardGroup, with
- * identical transfer timing.
+ * A multi-node fabric partitions its engine by node, with the NIC
+ * launch latency as the lookahead (sim::Engine::partition()).  A
+ * cross-node transfer runs as two legs: wire time on the source
+ * node's egress NICs, a message that lands one lookahead later
+ * (sim::Engine::post()), then wire time on the destination node's
+ * ingress NICs.
  */
 
 #ifndef MPRESS_HW_FABRIC_HH
@@ -31,7 +30,6 @@
 
 #include "hw/topology.hh"
 #include "sim/engine.hh"
-#include "sim/shard.hh"
 #include "sim/stream.hh"
 
 namespace mpress {
@@ -53,10 +51,7 @@ enum class FabricResource
 /** Returns a display name for @p r ("nvlink.egress", ...). */
 const char *fabricResourceName(FabricResource r);
 
-/**
- * Runtime transfer engine bound to one Topology and either a single
- * Engine or one Engine per node (via sim::ShardGroup).
- */
+/** Runtime transfer engine bound to one Topology and one Engine. */
 class Fabric
 {
   public:
@@ -73,24 +68,18 @@ class Fabric
     /**
      * Hook shaping the duration of every transfer as it is issued:
      * (resource, node, endpoint a, endpoint b, bytes, nominal
-     * duration) -> effective duration.  @p node is the node whose
-     * engine executes the shaped leg — the fault layer routes the
-     * query to that node's injector.  NVLink passes the (src, dst)
+     * duration) -> effective duration.  @p node is the node that
+     * executes the shaped leg — the fault layer routes the query to
+     * that node's injector.  NVLink passes the (src, dst)
      * GPU pair, PCIe passes (gpu, -1), NVMe passes (-1, -1), NIC legs
      * pass the (src, dst) GPU pair with the leg's node.
      */
     using TransferShaper =
         std::function<Tick(FabricResource, int, int, int, Bytes, Tick)>;
 
-    /** Single-engine fabric: every stream binds to @p engine.  Works
-     *  for any topology, including multi-node ones (the two-leg NIC
-     *  model then runs entirely on @p engine). */
+    /** Every stream binds to @p engine, which is partitioned into
+     *  topo.numNodes() nodes with lookaheadFor(topo). */
     Fabric(sim::Engine &engine, const Topology &topo);
-
-    /** Sharded fabric: streams bind to their node's shard engine and
-     *  cross-node legs travel through the group's mailboxes.
-     *  @p group must have exactly topo.numNodes() shards. */
-    Fabric(sim::ShardGroup &group, const Topology &topo);
 
     Fabric(const Fabric &) = delete;
     Fabric &operator=(const Fabric &) = delete;
@@ -105,8 +94,7 @@ class Fabric
      * @p lanes NVLink lanes.  @p lanes is clamped to the lanes
      * available between the pair.  Fires @p done when the slowest
      * stripe lands.  Passing lanes <= 0 uses all available lanes.
-     * For cross-node pairs @p done fires on the destination node's
-     * engine.
+     * For cross-node pairs @p done fires on the destination node.
      */
     void d2dTransfer(int src, int dst, Bytes bytes, int lanes,
                      Done done);
@@ -170,8 +158,8 @@ class Fabric
     /**
      * Return every lane stream to its just-constructed state and drop
      * the shaper, keeping all pools allocated: arena reuse across
-     * planner trials.  The caller must reset the owning engine(s)
-     * first (see sim::Stream::reset()).
+     * planner trials.  The caller must reset the engine first (see
+     * sim::Stream::reset()).
      */
     void reset();
 
@@ -214,26 +202,12 @@ class Fabric
                            Done done);
     void ingressLeg(const std::shared_ptr<CrossXfer> &xfer);
 
-    /** Deliver @p fn to @p dst_node's engine at @p when: a mailbox
-     *  post on sharded fabrics, a plain schedule otherwise. */
-    void postCross(int src_node, int dst_node, Tick when,
-                   sim::EventFn fn);
-
-    sim::Engine &
-    engineFor(int node)
-    {
-        return *_engines[_engines.size() == 1
-                             ? 0
-                             : static_cast<std::size_t>(node)];
-    }
-
     /** Apply the installed shaper (if any) to a nominal duration. */
     Tick shaped(FabricResource res, int node, int a, int b,
                 Bytes bytes, Tick dur) const;
 
+    sim::Engine &_engine;
     const Topology &_topo;
-    std::vector<sim::Engine *> _engines;  ///< size 1 or numNodes
-    sim::ShardGroup *_group = nullptr;
     Tick _lookahead = 0;  ///< cross-node message delay (multi-node)
     TransferShaper _shaper;
 

@@ -96,7 +96,7 @@ class MetricsRegistry
     /**
      * Copy every series of @p src into this registry under
      * @p prefix + its name, appending samples and adopting the source
-     * value.  Used to merge per-shard registries into one report
+     * value.  Used to merge per-node registries into one report
      * ("node0/swap.out.bytes", ...); series are absorbed in @p src
      * registration order, so the merge is deterministic.
      */

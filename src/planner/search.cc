@@ -243,18 +243,6 @@ SearchDriver::SearchDriver(const hw::Topology &topo,
     // driver-wide config (and deliberately not part of the cache
     // key: it cannot change a result).
     _execCfg.arena = nullptr;
-    // Thread-budget split: trial workers (the pool) and shard workers
-    // (inside each multi-node trial) multiply, so cap the per-trial
-    // shard workers at the hardware threads left per pool worker —
-    // never oversubscribing the machine.  Purely a wall-clock knob:
-    // the report is byte-identical at any value, so it stays out of
-    // the trial-cache key like the arena.
-    if (topo.multiNodeFabric() && _execCfg.simShards <= 0) {
-        int per_trial = util::ThreadPool::hardwareThreads() /
-                        std::max(1, pool.threads());
-        _execCfg.simShards = std::max(
-            1, std::min(topo.numNodes(), per_trial));
-    }
 }
 
 void

@@ -9,7 +9,6 @@
 #include "fault/injector.hh"
 #include "obs/export.hh"
 #include "util/logging.hh"
-#include "util/pool.hh"
 #include "util/strings.hh"
 
 namespace mpress {
@@ -49,20 +48,13 @@ struct Executor::Impl
     ExecutorConfig cfg;
 
     /** Engine storage for self-contained runs; unused (and empty)
-     *  when cfg.arena supplies reusable engines. */
+     *  when cfg.arena supplies a reusable engine. */
     sim::Engine ownEngine;
-    std::vector<std::unique_ptr<sim::Engine>> ownNodeEngines;
-    std::unique_ptr<sim::ShardGroup> ownGroup;
-
-    /** One engine per simulation shard (node); a single entry on
-     *  single-node topologies.  Points into the arena or the own*
-     *  storage above. */
-    std::vector<sim::Engine *> engines;
-    /** The conservative-window coordinator; null on single-node
-     *  topologies (the run is a plain Engine::run()). */
-    sim::ShardGroup *group = nullptr;
-    /** Shards: topo.numNodes() when the topology has an inter-node
-     *  fabric, else 1. */
+    /** The engine in use, partitioned by node: the arena's or
+     *  ownEngine. */
+    sim::Engine *engine = nullptr;
+    /** topo.numNodes() when the topology has an inter-node fabric,
+     *  else 1. */
     int numNodes = 1;
 
     /** Fabric storage for self-contained runs (or the first run on a
@@ -79,12 +71,12 @@ struct Executor::Impl
     /** Spare-capacity grants, keyed by exporter GPU.  The map's
      *  structure is frozen after construction (lookups use find());
      *  each exporter's budgets are only mutated from events on the
-     *  exporter's own shard, so distinct nodes never race. */
+     *  exporter's own node. */
     std::map<int, std::vector<compaction::SpareGrant>> grantsLeft;
 
     // Schedule progress.  Element g/s/id is only written by events on
-    // its owning node's shard; cross-node reads of taskDone happen
-    // strictly after the paired arrival message (mailbox barrier).
+    // its owning node; cross-node reads of taskDone happen strictly
+    // after the paired arrival message.
     std::vector<char> taskDone;
     std::vector<char> arrivalDone;
     std::vector<std::size_t> cursor;
@@ -105,17 +97,14 @@ struct Executor::Impl
     };
 
     /**
-     * Everything a node's shard mutates from its own events.  The
-     * sharding rule is the node boundary: an instance's exporter GPU
-     * fixes the node that owns its swap metadata, fault draws, trace
-     * and observability records, so no lock is ever needed.  On
-     * single-node topologies there is exactly one NodeState and the
-     * run is byte-identical to the historical single-engine executor.
+     * Everything a node mutates from its own events.  An instance's
+     * exporter GPU fixes the node that owns its swap metadata, fault
+     * draws, trace and observability records.  On single-node
+     * topologies there is exactly one NodeState.
      */
     struct NodeState
     {
         int node = 0;
-        sim::Engine *engine = nullptr;
 
         /** This node's slice of the cluster host pool / NVMe. */
         std::unique_ptr<memory::PinnedHostPool> host;
@@ -144,7 +133,7 @@ struct Executor::Impl
         /** Dynamic fault counters; summed into the report. */
         FaultSummary faults;
 
-        // First OOM observed on this shard (candidate; merged in
+        // First OOM observed on this node (candidate; merged in
         // finalize, earliest across nodes wins).
         bool oom = false;
         int oomGpu = -1;
@@ -180,10 +169,9 @@ struct Executor::Impl
     };
 
     /** Every instance of the run at layer x totalMicrobatches() +
-     *  microbatch (see inst()), sized once at construction.  One
-     *  vector serves every shard: an instance belongs to one stage,
-     *  so only that stage's node ever writes it, and distinct
-     *  elements never share a memory location. */
+     *  microbatch (see inst()), sized once at construction.  An
+     *  instance belongs to one stage, so only that stage's node ever
+     *  writes it. */
     std::vector<Instance> instances;
 
     /** Planned kind per layer: plan.kindFor() resolved once. */
@@ -199,7 +187,7 @@ struct Executor::Impl
     }
 
     // Metric ids are identical in every node's registry (same
-    // registration order), so one set of handles serves all shards.
+    // registration order), so one set of handles serves all nodes.
     obs::MetricsRegistry::Id mSwapOut = obs::MetricsRegistry::kInvalid;
     obs::MetricsRegistry::Id mSwapIn = obs::MetricsRegistry::kInvalid;
     obs::MetricsRegistry::Id mD2dOut = obs::MetricsRegistry::kInvalid;
@@ -229,7 +217,7 @@ struct Executor::Impl
 
     hw::Precision precision;
 
-    // ---- node / shard helpers -------------------------------------
+    // ---- node helpers ----------------------------------------------
 
     int gpuOf(int stage) const { return plan.gpuForStage(stage); }
 
@@ -252,20 +240,6 @@ struct Executor::Impl
     }
 
     NodeState &nsOfStage(int stage) { return nsOf(gpuOf(stage)); }
-
-    sim::Engine &engineOf(int gpu) { return *nsOf(gpu).engine; }
-
-    /** Deliver @p fn to @p dst node's shard through the group's
-     *  deterministic mailbox, one lookahead after now.  Only valid on
-     *  multi-node runs (group != nullptr). */
-    void
-    postToNode(int src, int dst, sim::EventFn fn)
-    {
-        group->post(src, dst,
-                    nodes[static_cast<std::size_t>(src)].engine->now() +
-                        group->lookahead(),
-                    std::move(fn));
-    }
 
     bool
     anyOom() const
@@ -323,10 +297,8 @@ struct Executor::Impl
             static_cast<double>(topo.gpu().memCapacity) /
             cfg.memOverheadFactor);
         for (int g = 0; g < topo.numGpus(); ++g) {
-            sim::Engine &eng =
-                *engines[static_cast<std::size_t>(nodeOfGpu(g))];
             compute.push_back(std::make_unique<sim::Stream>(
-                eng, util::strformat("gpu%d.compute", g)));
+                *engine, util::strformat("gpu%d.compute", g)));
             gpuMem.push_back(
                 std::make_unique<memory::DeviceMemoryTracker>(
                     util::strformat("gpu%d", g), effective));
@@ -345,7 +317,6 @@ struct Executor::Impl
         for (int n = 0; n < numNodes; ++n) {
             NodeState &ns = nodes[static_cast<std::size_t>(n)];
             ns.node = n;
-            ns.engine = engines[static_cast<std::size_t>(n)];
             ns.baseHost =
                 host_share +
                 (n == 0 ? host_total -
@@ -416,91 +387,34 @@ struct Executor::Impl
     }
 
     /**
-     * Select (and reset) the engines, coordinator and fabric: the
-     * arena's retained set when one is supplied, self-owned storage
-     * otherwise.  Single-node topologies use one engine and no group;
-     * multi-node topologies always get one engine per node plus a
-     * ShardGroup — the window structure is part of the simulation's
-     * semantics, so it exists even when run with one worker.
+     * Select (and reset) the engine and fabric: the arena's retained
+     * pair when one is supplied, self-owned storage otherwise.  The
+     * fabric partitions the engine by node.
      */
     void
     setupEngines()
     {
-        const Tick look = hw::Fabric::lookaheadFor(topo);
         if (cfg.arena == nullptr) {
-            if (numNodes == 1) {
-                engines = {&ownEngine};
-            } else {
-                for (int n = 0; n < numNodes; ++n)
-                    ownNodeEngines.push_back(
-                        std::make_unique<sim::Engine>());
-                for (auto &e : ownNodeEngines)
-                    engines.push_back(e.get());
-                ownGroup =
-                    std::make_unique<sim::ShardGroup>(engines, look);
-                group = ownGroup.get();
-            }
-            ownFabric =
-                group ? std::make_unique<hw::Fabric>(*group, topo)
-                      : std::make_unique<hw::Fabric>(*engines[0],
-                                                     topo);
+            engine = &ownEngine;
+            ownFabric = std::make_unique<hw::Fabric>(ownEngine, topo);
             fabric = ownFabric.get();
             return;
         }
 
         ExecutorArena &ar = *cfg.arena;
-        bool over = false;
-        if (numNodes == 1) {
-            // Sample the high-water ratio before reset() zeroes the
-            // per-run slot count (reservedSlots survives).
-            over = ar.engine.reservedSlots() >
-                   std::max<std::size_t>(2 * ar.engine.poolSlots(),
-                                         1024);
-            ar.engine.reset();
-            engines = {&ar.engine};
-        } else {
-            const bool rebuild =
-                static_cast<int>(ar.nodeEngines.size()) != numNodes ||
-                ar.group == nullptr || ar.group->lookahead() != look;
-            if (rebuild) {
-                // The retained fabric (if any) was bound to the old
-                // group/engines; drop it so it is rebuilt below.
-                ar.fabric.reset();
-                ar.fabricTopo = nullptr;
-                ar.group.reset();
-                ar.nodeEngines.clear();
-                for (int n = 0; n < numNodes; ++n)
-                    ar.nodeEngines.push_back(
-                        std::make_unique<sim::Engine>());
-                std::vector<sim::Engine *> ptrs;
-                for (auto &e : ar.nodeEngines)
-                    ptrs.push_back(e.get());
-                ar.group = std::make_unique<sim::ShardGroup>(
-                    std::move(ptrs), look);
-            } else {
-                std::size_t reserved = 0;
-                std::size_t used = 0;
-                for (auto &e : ar.nodeEngines) {
-                    reserved += e->reservedSlots();
-                    used += e->poolSlots();
-                }
-                over = reserved >
-                       std::max<std::size_t>(2 * used, 1024);
-                ar.group->reset();
-            }
-            for (auto &e : ar.nodeEngines)
-                engines.push_back(e.get());
-            group = ar.group.get();
-        }
+        // Sample the high-water ratio before reset() zeroes the
+        // per-run slot count (reservedSlots survives).
+        const bool over =
+            ar.engine.reservedSlots() >
+            std::max<std::size_t>(2 * ar.engine.poolSlots(), 1024);
+        ar.engine.reset();
+        engine = &ar.engine;
         if (ar.fabric == nullptr || ar.fabricTopo != &topo) {
             // Build against this exact topology object (the arena
-            // owner keeps one stable copy per worker); the resets
+            // owner keeps one stable copy per worker); the reset
             // above already cleared every pending completion the
             // fabric streams could reference.
-            ar.fabric =
-                group ? std::make_unique<hw::Fabric>(*group, topo)
-                      : std::make_unique<hw::Fabric>(*engines[0],
-                                                     topo);
+            ar.fabric = std::make_unique<hw::Fabric>(ar.engine, topo);
             ar.fabricTopo = &topo;
         } else {
             ar.fabric->reset();
@@ -511,9 +425,9 @@ struct Executor::Impl
 
     /** High-water policy: after kShrinkAfter consecutive runs whose
      *  retained slabs could hold over twice what was actually used,
-     *  release the engines' and fabric's retained storage so a
+     *  release the engine's and fabric's retained storage so a
      *  long-lived daemon does not hold one huge plan's peak arenas
-     *  forever.  Engines were reset above, so their heaps are empty
+     *  forever.  The engine was reset above, so its heap is empty
      *  (a shrink() precondition). */
     void
     applyShrinkPolicy(bool over)
@@ -527,34 +441,13 @@ struct Executor::Impl
             return;
         ar.overStreak = 0;
         ++ar.shrinks;
-        if (group)
-            group->shrink();
-        else
-            engines[0]->shrink();
+        engine->shrink();
         fabric->shrink();
-    }
-
-    /** Shard workers for a multi-node run: the config knob, or one
-     *  per node capped at the hardware concurrency. */
-    int
-    resolveWorkers() const
-    {
-        int hw_threads = util::ThreadPool::hardwareThreads();
-        if (hw_threads < 1)
-            hw_threads = 1;
-        int w = cfg.simShards;
-        if (w <= 0)
-            w = std::min(numNodes, hw_threads);
-        if (w < 1)
-            w = 1;
-        if (w > numNodes)
-            w = numNodes;
-        return w;
     }
 
     /** Arm the injectors: count the schedule, install the fabric
      *  shaper for link-degrade windows, and schedule host-pressure
-     *  windows on every node's engine. */
+     *  windows on every node. */
     void
     setupFaults()
     {
@@ -590,16 +483,15 @@ struct Executor::Impl
 
         for (auto &ns : nodes) {
             ns.injector = std::make_unique<fault::Injector>(
-                sc, *ns.engine,
-                static_cast<std::uint64_t>(ns.node));
+                sc, *engine, static_cast<std::uint64_t>(ns.node));
         }
 
         fabric->setTransferShaper(
             [this](hw::FabricResource res, int node, int a, int b,
                    Bytes, Tick dur) {
-                // The query runs on the engine executing the shaped
-                // leg; route it to that node's injector so every draw
-                // stays on its own shard's deterministic order.
+                // The query runs on the node executing the shaped leg;
+                // route it to that node's injector so every draw stays
+                // in its own node's deterministic order.
                 NodeState &ns =
                     nodes[node < 0 ? 0
                                    : static_cast<std::size_t>(node)];
@@ -609,7 +501,7 @@ struct Executor::Impl
                     return dur;
                 ++ns.faults.degradedTransfers;
                 ns.obsData.metrics.add(mFaultDegraded,
-                                       ns.engine->now(), 1.0);
+                                       engine->now(), 1.0);
                 return static_cast<Tick>(
                     static_cast<double>(dur) * stretch);
             });
@@ -628,7 +520,8 @@ struct Executor::Impl
                 const Bytes share =
                     base_share +
                     (np->node == 0 ? e.bytes - base_share * nn : 0);
-                np->engine->schedule(e.start, [this, np, share, e]() {
+                engine->scheduleOn(np->node, e.start, [this, np, share,
+                                                       e]() {
                     np->hostPressureCut += share;
                     if (np->node == 0) {
                         np->totalPressureCut += e.bytes;
@@ -641,13 +534,14 @@ struct Executor::Impl
                                           np->hostPressureCut);
                     if (np->node == 0) {
                         np->obsData.metrics.set(
-                            mFaultPressure, np->engine->now(),
+                            mFaultPressure, engine->now(),
                             static_cast<double>(
                                 np->totalPressureCut));
                     }
                     traceInstant(*np, "fault: host-pressure on", -1);
                 });
-                np->engine->schedule(e.end, [this, np, share, e]() {
+                engine->scheduleOn(np->node, e.end, [this, np, share,
+                                                     e]() {
                     np->hostPressureCut -= share;
                     if (np->node == 0)
                         np->totalPressureCut -= e.bytes;
@@ -655,7 +549,7 @@ struct Executor::Impl
                                           np->hostPressureCut);
                     if (np->node == 0) {
                         np->obsData.metrics.set(
-                            mFaultPressure, np->engine->now(),
+                            mFaultPressure, engine->now(),
                             static_cast<double>(
                                 np->totalPressureCut));
                     }
@@ -673,7 +567,7 @@ struct Executor::Impl
             return;
         ns.trace.recordInstant(std::move(name), "fault",
                                lane < 0 ? 0 : lane,
-                               ns.engine->now());
+                               engine->now());
     }
 
     /** Apply any active straggle window to a compute duration. */
@@ -687,7 +581,7 @@ struct Executor::Impl
         if (stretch <= 1.0)
             return dur;
         ++ns.faults.straggledTasks;
-        ns.obsData.metrics.add(mFaultStraggle, ns.engine->now(), 1.0);
+        ns.obsData.metrics.add(mFaultStraggle, engine->now(), 1.0);
         return static_cast<Tick>(static_cast<double>(dur) * stretch);
     }
 
@@ -722,7 +616,7 @@ struct Executor::Impl
             gpuMem[static_cast<std::size_t>(g)]->setObserver(
                 [this, g](TensorKind kind, Bytes delta) {
                     NodeState &ns = nsOf(g);
-                    ns.obsData.memory.record(ns.engine->now(), g,
+                    ns.obsData.memory.record(engine->now(), g,
                                              kind, delta);
                 });
             nsOf(g).obsData.utilization.attach(
@@ -733,7 +627,7 @@ struct Executor::Impl
             NodeState *np = &ns;
             ns.host->setObserver([this, np](TensorKind, Bytes) {
                 np->obsData.metrics.set(
-                    mHostUsed, np->engine->now(),
+                    mHostUsed, engine->now(),
                     static_cast<double>(np->host->used()));
             });
         }
@@ -779,7 +673,7 @@ struct Executor::Impl
             return;
         NodeState &ns = nsOf(gpu);
         ns.memTimeline.push_back(
-            {ns.engine->now(), gpu,
+            {engine->now(), gpu,
              gpuMem[static_cast<std::size_t>(gpu)]->used()});
     }
 
@@ -806,11 +700,10 @@ struct Executor::Impl
         if (!ok && cfg.failFastOnOom && !ns.oom) {
             ns.oom = true;
             ns.oomGpu = gpu;
-            ns.oomTime = ns.engine->now();
-            // Window-granular on sharded runs: the group halts after
-            // every shard finishes the current window, keeping the
-            // executed event set deterministic.
-            ns.engine->stop();
+            ns.oomTime = engine->now();
+            // Window-granular on multi-node runs: the other nodes
+            // finish the current window (see sim::Engine::run()).
+            engine->stop();
         }
     }
 
@@ -865,7 +758,7 @@ struct Executor::Impl
             return;
         }
         NodeState &ns = nsOf(gpu);
-        ns.obsData.metrics.add(mAllocStalls, ns.engine->now(), 1.0);
+        ns.obsData.metrics.add(mAllocStalls, engine->now(), 1.0);
         allocQueue[g].push_back({kind, bytes, std::move(fn)});
     }
 
@@ -892,18 +785,17 @@ struct Executor::Impl
     {
         if (bytes <= 0 || src_gpu == dst_gpu) {
             if (sameNode(src_gpu, dst_gpu)) {
-                engineOf(src_gpu).scheduleIn(0, std::move(done));
+                engine->scheduleIn(0, std::move(done));
             } else {
                 // Degenerate cross-node hand-off: even an empty
-                // message must respect the shard lookahead.
-                postToNode(nodeOfGpu(src_gpu), nodeOfGpu(dst_gpu),
-                           std::move(done));
+                // message takes the lookahead.
+                engine->post(nodeOfGpu(dst_gpu), std::move(done));
             }
             return;
         }
         if (fabric->lanesBetween(src_gpu, dst_gpu) > 0) {
             // Direct lanes: NVLink within a node, the NIC path across
-            // nodes (done then fires on the destination shard).
+            // nodes (done then fires on the destination node).
             fabric->d2dTransfer(src_gpu, dst_gpu, bytes, 1,
                                 std::move(done));
         } else {
@@ -957,7 +849,7 @@ struct Executor::Impl
                 const int gpu = gpuOf(t.stage);
                 const auto &stage_part =
                     part.stages[static_cast<std::size_t>(t.stage)];
-                const Tick t0 = ns.engine->now();
+                const Tick t0 = engine->now();
                 fabric->gpuToHost(gpu, stage_part.paramBytes, [] {});
                 fabric->hostToGpu(
                     gpu, stage_part.paramBytes, [this, &t, t0]() {
@@ -1027,7 +919,7 @@ struct Executor::Impl
             NodeState &ns = nsOfStage(t.stage);
             auto k = static_cast<std::size_t>(t.minibatch);
             if (--ns.optRemaining[k] == 0)
-                ns.lastOptim[k] = ns.engine->now();
+                ns.lastOptim[k] = engine->now();
         }
 
         tryAdvance(t.stage);
@@ -1089,7 +981,7 @@ struct Executor::Impl
                         t.microbatch};
         NodeState &ns = nsOfStage(t.stage);
         Instance &in = inst(key);
-        in.genTime = ns.engine->now();
+        in.genTime = engine->now();
 
         const model::Layer &layer = mdl.layer(pos);
         const int gpu = gpuOf(t.stage);
@@ -1159,7 +1051,7 @@ struct Executor::Impl
         }
         // Debit budgets; same-node importers reserve their memory at
         // issue.  A cross-node stripe's reservation is made on the
-        // importer's own shard when the data lands (issueSwapOutStripe)
+        // importer's own node when the data lands (issueSwapOutStripe)
         // — the importer's budget is still debited here, exporter-side.
         for (const auto &stripe : stripe_plan.stripes) {
             for (auto &grant : it->second) {
@@ -1173,7 +1065,7 @@ struct Executor::Impl
                          stripe.bytes);
             }
         }
-        ns.obsData.metrics.add(mD2dOut, ns.engine->now(),
+        ns.obsData.metrics.add(mD2dOut, engine->now(),
                                static_cast<double>(bytes));
         auto &rec = ns.swapTable.beginSwapOut(key, Kind::D2dSwap,
                                               stripe_plan, bytes);
@@ -1216,7 +1108,7 @@ struct Executor::Impl
         const int gpu = attempt->gpu;
         NodeState &ns = nsOf(gpu);
         // Draw the failure at issue time so the PRNG consumption
-        // order follows the exporter shard's deterministic event
+        // order follows the exporter node's deterministic event
         // order.  A failed stripe still occupies its lanes for the
         // full duration — the data just never lands.
         const bool fails =
@@ -1224,7 +1116,7 @@ struct Executor::Impl
             ns.injector->failsD2dStripe(gpu, stripe.targetGpu);
         if (fails) {
             ++ns.faults.transferFailures;
-            ns.obsData.metrics.add(mFaultFail, ns.engine->now(), 1.0);
+            ns.obsData.metrics.add(mFaultFail, engine->now(), 1.0);
             traceInstant(
                 ns,
                 util::strformat("fault: d2d stripe fail s%d mb%d",
@@ -1242,26 +1134,22 @@ struct Executor::Impl
             return;
         }
         // Cross-node stripe: the transfer's completion fires on the
-        // importer's shard, which reserves the landed bytes on its
-        // own memory tracker and acknowledges back to the exporter
-        // through the mailbox.
+        // importer's node, which reserves the landed bytes on its own
+        // memory tracker and acknowledges back to the exporter with a
+        // message.
         const int src_node = nodeOfGpu(gpu);
-        const int dst_node = nodeOfGpu(stripe.targetGpu);
         fabric->d2dTransfer(
             gpu, stripe.targetGpu, stripe.bytes, stripe.lanes,
-            [this, attempt, stripe, idx, try_no, fails, src_node,
-             dst_node]() {
+            [this, attempt, stripe, idx, try_no, fails, src_node]() {
                 if (!fails) {
                     gpuAlloc(stripe.targetGpu, TensorKind::Activation,
                              stripe.bytes);
                 }
-                postToNode(dst_node, src_node,
-                           [this, attempt, stripe, idx, try_no,
-                            fails]() {
-                               resolveSwapOutStripe(attempt, stripe,
-                                                    idx, try_no,
-                                                    !fails);
-                           });
+                engine->post(src_node, [this, attempt, stripe, idx,
+                                        try_no, fails]() {
+                    resolveSwapOutStripe(attempt, stripe, idx, try_no,
+                                         !fails);
+                });
             });
     }
 
@@ -1287,9 +1175,9 @@ struct Executor::Impl
         NodeState &ns = nsOf(attempt->gpu);
         if (try_no < cfg.maxTransferRetries) {
             ++ns.faults.retries;
-            ns.obsData.metrics.add(mFaultRetry, ns.engine->now(),
+            ns.obsData.metrics.add(mFaultRetry, engine->now(),
                                    1.0);
-            ns.engine->scheduleIn(
+            engine->scheduleIn(
                 cfg.retryBackoff << try_no,
                 [this, attempt, stripe, idx, try_no]() {
                     issueSwapOutStripe(attempt, stripe, idx,
@@ -1347,12 +1235,9 @@ struct Executor::Impl
                 } else {
                     const int target = stripe.targetGpu;
                     const Bytes sb = stripe.bytes;
-                    postToNode(ns.node, nodeOfGpu(target),
-                               [this, target, sb]() {
-                                   gpuFree(target,
-                                           TensorKind::Activation,
-                                           sb);
-                               });
+                    engine->post(nodeOfGpu(target), [this, target, sb]() {
+                        gpuFree(target, TensorKind::Activation, sb);
+                    });
                 }
             }
             if (git != grantsLeft.end()) {
@@ -1373,7 +1258,7 @@ struct Executor::Impl
             in.kindOverride = Kind::GpuCpuSwap;
             ++ns.faults.fallbackGpuCpuSwap;
             ns.obsData.metrics.add(mFaultFallbackSwap,
-                                   ns.engine->now(), 1.0);
+                                   engine->now(), 1.0);
             traceInstant(
                 ns,
                 util::strformat("fault: fallback swap s%d mb%d",
@@ -1389,7 +1274,7 @@ struct Executor::Impl
         in.kindOverride = Kind::Recompute;
         ++ns.faults.fallbackRecompute;
         ns.obsData.metrics.add(mFaultFallbackRecompute,
-                               ns.engine->now(), 1.0);
+                               engine->now(), 1.0);
         traceInstant(
             ns,
             util::strformat("fault: fallback recompute s%d mb%d",
@@ -1411,7 +1296,7 @@ struct Executor::Impl
                     .overheads[static_cast<std::size_t>(
                         chain->task->stage)]
                     .swapInStall +=
-                    ns.engine->now() - chain->stallStart;
+                    engine->now() - chain->stallStart;
                 chain->stallStart = -1;
             }
             runBwdLayer(*chain);
@@ -1440,13 +1325,13 @@ struct Executor::Impl
                 to_nvme = true;
                 ns.nvmeUsed += bytes;
                 ns.nvmeSpill += bytes;
-                ns.obsData.metrics.add(mNvmeSpill, ns.engine->now(),
+                ns.obsData.metrics.add(mNvmeSpill, engine->now(),
                                        static_cast<double>(bytes));
             } else {
                 return false;
             }
         }
-        ns.obsData.metrics.add(mSwapOut, ns.engine->now(),
+        ns.obsData.metrics.add(mSwapOut, engine->now(),
                                static_cast<double>(bytes));
         auto &rec0 = ns.swapTable.beginSwapOut(key, Kind::GpuCpuSwap,
                                                {}, bytes);
@@ -1524,7 +1409,7 @@ struct Executor::Impl
         ++chain.inflightSwapIns;
         ns.obsData.metrics.add(rec->kind == Kind::D2dSwap ? mD2dIn
                                                           : mSwapIn,
-                               ns.engine->now(),
+                               engine->now(),
                                static_cast<double>(rec->bytes));
         ns.swapTable.markSwappingIn(key);
         const int gpu = gpuOf(chain.task->stage);
@@ -1577,14 +1462,14 @@ struct Executor::Impl
     {
         const int gpu = attempt->gpu;
         NodeState &ns = nsOf(gpu);
-        // The draw stays on the exporter's shard even for cross-node
+        // The draw stays on the exporter's node even for cross-node
         // stripes, keeping the consumption order deterministic.
         const bool fails =
             ns.injector &&
             ns.injector->failsD2dStripe(stripe.targetGpu, gpu);
         if (fails) {
             ++ns.faults.transferFailures;
-            ns.obsData.metrics.add(mFaultFail, ns.engine->now(), 1.0);
+            ns.obsData.metrics.add(mFaultFail, engine->now(), 1.0);
             traceInstant(
                 ns,
                 util::strformat("fault: d2d stripe fail s%d mb%d",
@@ -1593,7 +1478,7 @@ struct Executor::Impl
                 gpu);
         }
         // The completion below runs on the transfer's destination —
-        // the exporter's own shard — so it may touch ns state freely.
+        // the exporter's own node — so it may touch ns state freely.
         auto done = [this, attempt, stripe, try_no, fails]() {
             if (!fails) {
                 if (--attempt->remaining == 0)
@@ -1608,9 +1493,9 @@ struct Executor::Impl
             NodeState &n2 = nsOf(attempt->gpu);
             if (try_no < cfg.maxTransferRetries) {
                 ++n2.faults.retries;
-                n2.obsData.metrics.add(mFaultRetry, n2.engine->now(),
+                n2.obsData.metrics.add(mFaultRetry, engine->now(),
                                        1.0);
-                n2.engine->scheduleIn(
+                engine->scheduleIn(
                     cfg.retryBackoff << try_no,
                     [this, attempt, stripe, try_no]() {
                         issueSwapInStripe(attempt, stripe,
@@ -1624,7 +1509,7 @@ struct Executor::Impl
             // rung.
             ++n2.faults.fallbackGpuCpuSwap;
             n2.obsData.metrics.add(mFaultFallbackSwap,
-                                   n2.engine->now(), 1.0);
+                                   engine->now(), 1.0);
             traceInstant(
                 n2,
                 util::strformat(
@@ -1639,23 +1524,21 @@ struct Executor::Impl
             return;
         }
         // Cross-node pull: the transfer must be issued from the
-        // importer's shard (it occupies the importer's egress NICs),
-        // so send a pull-request through the mailbox; the two-leg
-        // completion then lands back here on the exporter's shard.
-        const int imp_node = nodeOfGpu(stripe.targetGpu);
-        postToNode(ns.node, imp_node,
-                   [this, attempt, stripe,
-                    d = std::move(done)]() mutable {
-                       fabric->d2dTransfer(stripe.targetGpu,
-                                           attempt->gpu, stripe.bytes,
-                                           stripe.lanes,
-                                           std::move(d));
-                   });
+        // importer's node (it occupies the importer's egress NICs), so
+        // send it a pull-request message; the two-leg completion then
+        // lands back here on the exporter's node.
+        engine->post(nodeOfGpu(stripe.targetGpu),
+                     [this, attempt, stripe,
+                      d = std::move(done)]() mutable {
+                         fabric->d2dTransfer(stripe.targetGpu,
+                                             attempt->gpu, stripe.bytes,
+                                             stripe.lanes, std::move(d));
+                     });
     }
 
     /** Ladder reroute of one swap-in stripe via host memory: D2H on
-     *  the importer, then H2D on the exporter, hopping shards through
-     *  the mailbox when the two differ. */
+     *  the importer, then H2D on the exporter, hopping nodes by
+     *  message when the two differ. */
     void
     rerouteSwapInStripe(std::shared_ptr<SwapInAttempt> attempt,
                         compaction::Stripe stripe)
@@ -1675,15 +1558,14 @@ struct Executor::Impl
             return;
         }
         const int exp_node = nodeOfGpu(gpu);
-        const int imp_node = nodeOfGpu(stripe.targetGpu);
-        postToNode(
-            exp_node, imp_node,
-            [this, attempt, stripe, exp_node, imp_node]() {
+        engine->post(
+            nodeOfGpu(stripe.targetGpu),
+            [this, attempt, stripe, exp_node]() {
                 fabric->gpuToHost(
                     stripe.targetGpu, stripe.bytes,
-                    [this, attempt, stripe, exp_node, imp_node]() {
-                        postToNode(
-                            imp_node, exp_node,
+                    [this, attempt, stripe, exp_node]() {
+                        engine->post(
+                            exp_node,
                             [this, attempt, stripe]() {
                                 fabric->hostToGpu(
                                     attempt->gpu, stripe.bytes,
@@ -1727,12 +1609,9 @@ struct Executor::Impl
                 } else {
                     const int target = stripe.targetGpu;
                     const Bytes sb = stripe.bytes;
-                    postToNode(ns.node, nodeOfGpu(target),
-                               [this, target, sb]() {
-                                   gpuFree(target,
-                                           TensorKind::Activation,
-                                           sb);
-                               });
+                    engine->post(nodeOfGpu(target), [this, target, sb]() {
+                        gpuFree(target, TensorKind::Activation, sb);
+                    });
                 }
                 if (git != grantsLeft.end()) {
                     for (auto &grant : git->second) {
@@ -1755,7 +1634,7 @@ struct Executor::Impl
                     .overheads[static_cast<std::size_t>(
                         chain->task->stage)]
                     .swapInStall +=
-                    ns.engine->now() - chain->stallStart;
+                    engine->now() - chain->stallStart;
                 chain->stallStart = -1;
             }
             issuePrefetches(*chain);
@@ -1798,7 +1677,7 @@ struct Executor::Impl
                 if (rec && rec->state == SwapState::Resident)
                     issueSwapIn(chain, key);
             }
-            chain.stallStart = ns.engine->now();
+            chain.stallStart = engine->now();
             in.blockedOn = &chain;
             return;
         }
@@ -1814,7 +1693,7 @@ struct Executor::Impl
         if (cfg.recordLiveness && in.genTime >= 0) {
             ns.liveness.record(key.ref, layer->activationStash,
                                t.microbatch, in.genTime,
-                               ns.engine->now());
+                               engine->now());
         }
 
         auto submit_bwd = [this, &chain, gpu, layer]() {
@@ -1841,7 +1720,7 @@ struct Executor::Impl
                 topo.gpu().computeTime(layer->fwdFlops, precision));
             report.overheads[static_cast<std::size_t>(t.stage)]
                 .recomputeTime += redo;
-            ns.obsData.metrics.add(mRecompute, ns.engine->now(),
+            ns.obsData.metrics.add(mRecompute, engine->now(),
                                    static_cast<double>(redo));
             compute[static_cast<std::size_t>(gpu)]->submit(
                 redo,
@@ -1868,7 +1747,6 @@ struct Executor::Impl
         const auto &stage =
             part.stages[static_cast<std::size_t>(t.stage)];
         const int gpu = gpuOf(t.stage);
-        NodeState &ns = nsOfStage(t.stage);
         // Adam is memory-bound: touches params, grads and state.
         Bytes touched = stage.paramBytes + stage.gradBytes +
                         stage.optStateBytes;
@@ -1892,19 +1770,19 @@ struct Executor::Impl
         // mechanism ZeRO-Offload uses.  The CPU-side Adam is
         // host-memory-bound.
         (void)dur;
-        const Tick t0 = ns.engine->now();
+        const Tick t0 = engine->now();
         const Bytes grad_bytes = stage.gradBytes;
         const Bytes param_bytes = stage.paramBytes;
         const Tick cpu_step = util::Bandwidth::fromGBps(25.0)
                                   .transferTime(stage.optStateBytes);
         fabric->gpuToHost(gpu, grad_bytes, [this, &t, gpu, t0,
                                             param_bytes, cpu_step]() {
-            engineOf(gpu).scheduleIn(cpu_step, [this, &t, gpu, t0,
-                                                param_bytes]() {
+            engine->scheduleIn(cpu_step, [this, &t, gpu, t0,
+                                          param_bytes]() {
                 fabric->hostToGpu(gpu, param_bytes, [this, &t, t0]() {
                     report.overheads[static_cast<std::size_t>(t.stage)]
                         .optimStall +=
-                        nsOfStage(t.stage).engine->now() - t0;
+                        engine->now() - t0;
                     finishTask(t);
                 });
             });
@@ -1954,17 +1832,14 @@ struct Executor::Impl
         if (!anyOom()) {
             for (auto &node_state : nodes) {
                 NodeState *np = &node_state;
-                np->engine->schedule(0, [this, np]() {
+                engine->scheduleOn(np->node, 0, [this, np]() {
                     for (int s = 0; s < sched.numStages; ++s) {
                         if (nodeOfGpu(gpuOf(s)) == np->node)
                             tryAdvance(s);
                     }
                 });
             }
-            if (group)
-                group->run(resolveWorkers());
-            else
-                engines[0]->run();
+            engine->run();
             detectDeadlock();
         }
         finalize();
@@ -1989,7 +1864,7 @@ struct Executor::Impl
         if (complete)
             return;
         report.oom = true;
-        report.oomTime = group ? group->maxNow() : engines[0]->now();
+        report.oomTime = engine->now();
         for (std::size_t g = 0; g < allocQueue.size(); ++g) {
             if (!allocQueue[g].empty()) {
                 report.oomGpu = static_cast<int>(g);
@@ -2017,7 +1892,7 @@ struct Executor::Impl
             }
         }
 
-        report.makespan = group ? group->maxNow() : engines[0]->now();
+        report.makespan = engine->now();
 
         if (cfg.recordMetrics) {
             for (auto &ns : nodes) {
@@ -2030,7 +1905,7 @@ struct Executor::Impl
             if (numNodes == 1) {
                 report.trace = std::move(nodes[0].trace);
             } else {
-                // Deterministic merge: concatenate per-shard streams
+                // Deterministic merge: concatenate per-node streams
                 // in node order (the exporters sort by time anyway).
                 for (auto &ns : nodes) {
                     for (const auto &sp : ns.trace.spans())
@@ -2139,17 +2014,12 @@ struct Executor::Impl
             }
         }
 
-        for (std::size_t i = 0; i < engines.size(); ++i) {
-            ShardStat st;
-            st.shard = static_cast<int>(i);
-            st.events = engines[i]->eventsExecuted();
-            st.poolSlots =
-                static_cast<std::uint64_t>(engines[i]->poolSlots());
-            st.queuePeak =
-                static_cast<std::uint64_t>(engines[i]->queuePeak());
-            report.shardStats.push_back(st);
-        }
-        report.simWindows = group ? group->windowsRun() : 0;
+        ShardStat st;
+        st.events = engine->eventsExecuted();
+        st.poolSlots = static_cast<std::uint64_t>(engine->poolSlots());
+        st.queuePeak = static_cast<std::uint64_t>(engine->queuePeak());
+        report.shardStats.push_back(st);
+        report.simWindows = engine->windows();
 
         for (const auto &ns : nodes) {
             report.savings.recompute += ns.savings.recompute;

@@ -49,16 +49,9 @@ namespace runtime {
  */
 struct ExecutorArena
 {
-    /** The single-node engine (multi-node runs use @ref nodeEngines
-     *  instead; both are retained so a worker alternating between
-     *  topologies reuses each side's slabs). */
+    /** The engine of every run, partitioned by node by the fabric
+     *  built on it. */
     sim::Engine engine;
-
-    /** One engine per cluster node plus the conservative-window
-     *  coordinator, for multi-node topologies (sharded simulation).
-     *  Rebuilt only when the node count or lookahead changes. */
-    std::vector<std::unique_ptr<sim::Engine>> nodeEngines;
-    std::unique_ptr<sim::ShardGroup> group;
 
     /** Retained fabric, rebuilt only when the topology object
      *  changes; valid while @ref fabricTopo still points at the
@@ -121,14 +114,9 @@ struct ExecutorConfig
     /** Delay before the first stripe retry; doubles per attempt. */
     util::Tick retryBackoff = 20 * util::kUsec;
 
-    /** Worker threads advancing the shards of a multi-node
-     *  simulation: 0 = auto (one per node, capped at the hardware
-     *  concurrency), 1 = serial windows, otherwise clamped to the
-     *  node count.  Purely a wall-clock knob: the conservative-window
-     *  structure depends only on the event set, so the report is
-     *  byte-identical at any value — the planner's trial-cache key
-     *  ignores this field, like @ref arena.  Single-node topologies
-     *  ignore it entirely. */
+    /** No effect: every topology runs on one engine.  Kept only
+     *  because hostbench still sets it; it goes with the next
+     *  benchmark change. */
     int simShards = 0;
 
     /** Reusable scratch (non-owning; null = self-contained run).  The

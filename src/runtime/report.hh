@@ -104,14 +104,13 @@ struct FaultSummary
     double degradedSamplesPerSec = 0.0;
 };
 
-/** Per-shard discrete-event engine statistics after a run: arena
- *  growth and queue pressure (single-node runs report one shard).
- *  mpress-serve's stats endpoint exports these so operators can see
- *  how much pooled storage each shard holds. */
+/** The discrete-event engine's statistics after a run: arena growth
+ *  and queue pressure.  mpress-serve's stats endpoint exports them so
+ *  operators can see how much pooled storage the engine holds. */
 struct ShardStat
 {
-    int shard = 0;
-    std::uint64_t events = 0;     ///< events executed by this shard
+    int shard = 0;                ///< always 0: every run has one engine
+    std::uint64_t events = 0;     ///< events executed
     std::uint64_t poolSlots = 0;  ///< callback-slab high water
     std::uint64_t queuePeak = 0;  ///< event-heap high water
 };
@@ -167,10 +166,10 @@ struct TrainingReport
     /** Fault-injection accounting (ExecutorConfig::faults). */
     FaultSummary faults;
 
-    /** Per-shard engine statistics (one entry per cluster node). */
+    /** Engine statistics: one row, for the run's one engine. */
     std::vector<ShardStat> shardStats;
-    /** Conservative windows the sharded run executed (0 when the
-     *  simulation ran on a single engine). */
+    /** Conservative windows the run opened (0 on one node; see
+     *  sim::Engine::run()). */
     std::uint64_t simWindows = 0;
 
     /** Highest per-GPU peak across devices. */

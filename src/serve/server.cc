@@ -457,7 +457,7 @@ Server::handlePlan(const Request &req)
     api::SessionResult result = session.run();
     {
         // Record the run's simulation-engine footprint for the stats
-        // endpoint: per-shard slab/heap high waters of the reported
+        // endpoint: the engine's slab/heap high waters of the reported
         // run plus cumulative arena high-water releases.
         std::lock_guard<std::mutex> lock(_mu);
         _lastShards = result.report.shardStats;

@@ -208,7 +208,7 @@ class Server
     std::atomic<std::uint64_t> _parseErrors{0};
 
     /** Simulation-engine footprint of the most recent completed plan
-     *  request (guarded by _mu): per-shard pooled-slab and event-heap
+     *  request (guarded by _mu): the engine's pooled-slab and event-heap
      *  high waters, conservative windows run, and cumulative arena
      *  high-water releases — so operators can see how much retained
      *  storage the daemon's planning runs touch. */

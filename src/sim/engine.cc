@@ -28,7 +28,7 @@ Engine::acquireSlot()
 }
 
 std::uint32_t
-Engine::pushEntry(Tick when, std::uint64_t seq)
+Engine::pushEntry(Tick when, std::uint64_t seq, std::uint32_t node)
 {
     if (when < _now) {
         util::panic("event scheduled in the past (%lld < %lld)",
@@ -36,7 +36,7 @@ Engine::pushEntry(Tick when, std::uint64_t seq)
                     static_cast<long long>(_now));
     }
     std::uint32_t slot = acquireSlot();
-    _heap.push_back(HeapEntry{when, seq, slot});
+    _heap.push_back(HeapEntry{when, seq, slot, node});
     std::push_heap(_heap.begin(), _heap.end(), later);
     if (_heap.size() > _heapPeak)
         _heapPeak = _heap.size();
@@ -44,17 +44,42 @@ Engine::pushEntry(Tick when, std::uint64_t seq)
 }
 
 std::uint32_t
-Engine::enqueue(Tick when)
+Engine::postEntry(std::uint32_t dst)
 {
-    return pushEntry(when, _nextSeq++);
+    if (_nextMsgSeq >> kMsgShift != 0)
+        util::panic("message sequence band exhausted");
+    return pushEntry(_now + _lookahead,
+                     std::uint64_t{_node} << kMsgShift | _nextMsgSeq++,
+                     dst);
 }
 
 std::uint32_t
-Engine::enqueueInjected(Tick when)
+Engine::checkedNode(int node) const
 {
-    if (_nextInjectSeq + 1 >= kLocalSeqBase)
-        util::panic("injected-message sequence band exhausted");
-    return pushEntry(when, _nextInjectSeq++);
+    if (node < 0 || node >= nodes())
+        util::panic("node %d out of range (%d nodes)", node, nodes());
+    return static_cast<std::uint32_t>(node);
+}
+
+void
+Engine::partition(int nodes, Tick lookahead)
+{
+    if (nodes < 1 || nodes > kMaxNodes)
+        util::panic("engine partition needs 1..%d nodes (got %d)",
+                    kMaxNodes, nodes);
+    if (nodes > 1 && lookahead < 1)
+        util::panic("engine partition of %d nodes needs a lookahead "
+                    ">= 1 tick (got %lld)",
+                    nodes, static_cast<long long>(lookahead));
+    // Pending events and the running node name nodes of the old
+    // partition.
+    if (!_heap.empty())
+        util::panic("engine partition with %zu events pending",
+                    _heap.size());
+    _node = 0;
+    _stopped.assign(static_cast<std::size_t>(nodes), 0);
+    _lookahead = lookahead;
+    _horizon = nodes > 1 ? 0 : kNoHorizon;
 }
 
 Engine::HeapEntry
@@ -67,45 +92,64 @@ Engine::popTop()
 }
 
 void
+Engine::invoke(std::uint32_t s)
+{
+    // Invoke in place: chunks never move, so the slot reference stays
+    // valid even if the callback schedules further events (which can
+    // only draw from the freelist or new chunks, never this
+    // still-held slot).  The slot is recycled after the call, so a
+    // self-scheduling chain alternates between two slots.
+    Slot &slot = slotRef(s);
+    ++_eventsExecuted;
+    if (slot.fn)
+        slot.fn();
+    release(s);
+}
+
+void
+Engine::release(std::uint32_t s)
+{
+    Slot &slot = slotRef(s);
+    slot.fn = nullptr;
+    slot.next = _freeHead;
+    _freeHead = s;
+}
+
+void
 Engine::run()
 {
-    _stopped = false;
-    while (!_heap.empty() && !_stopped) {
+    _stopping = false;
+    std::fill(_stopped.begin(), _stopped.end(), 0);
+    while (!_heap.empty()) {
         HeapEntry ev = popTop();
+        if (ev.when >= _horizon) {
+            _horizon = ev.when + _lookahead;
+            ++_windows;
+        }
         _now = ev.when;
-        // Invoke in place: chunks never move, so the slot reference
-        // stays valid even if the callback schedules further events
-        // (which can only draw from the freelist or new chunks, never
-        // this still-held slot).  The slot is recycled after the call,
-        // so a self-scheduling chain alternates between two slots.
-        Slot &slot = slotRef(ev.slot);
-        ++_eventsExecuted;
-        if (slot.fn)
-            slot.fn();
-        slot.fn = nullptr;
-        slot.next = _freeHead;
-        _freeHead = ev.slot;
+        _node = ev.node;
+        invoke(ev.slot);
+        if (_stopping) {
+            if (nodes() > 1)
+                finishWindow();
+            return;
+        }
     }
 }
 
-bool
-Engine::runUntil(Tick limit)
+void
+Engine::finishWindow()
 {
-    _stopped = false;
-    while (!_heap.empty() && !_stopped) {
-        if (_heap.front().when > limit)
-            return false;
+    while (!_heap.empty() && _heap.front().when < _horizon) {
         HeapEntry ev = popTop();
+        if (_stopped[ev.node]) {
+            release(ev.slot);
+            continue;
+        }
         _now = ev.when;
-        Slot &slot = slotRef(ev.slot);
-        ++_eventsExecuted;
-        if (slot.fn)
-            slot.fn();
-        slot.fn = nullptr;
-        slot.next = _freeHead;
-        _freeHead = ev.slot;
+        _node = ev.node;
+        invoke(ev.slot);
     }
-    return _heap.empty();
 }
 
 void
@@ -122,11 +166,14 @@ Engine::reset()
     _slotCount = 0;
     _freeHead = kNoSlot;
     _now = 0;
+    _node = 0;
     _nextSeq = kLocalSeqBase;
-    _nextInjectSeq = 0;
+    _nextMsgSeq = 0;
     _heapPeak = 0;
     _eventsExecuted = 0;
-    _stopped = false;
+    _horizon = nodes() > 1 ? 0 : kNoHorizon;
+    _windows = 0;
+    _stopping = false;
 }
 
 void

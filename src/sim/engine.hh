@@ -7,15 +7,22 @@
  * sequence number breaks ties), which makes every simulation fully
  * deterministic.
  *
+ * One engine runs every topology.  A multi-node simulation partitions
+ * it by node (partition()): every event carries the node it runs on,
+ * and anything that crosses nodes is a message (post()) that lands
+ * exactly one lookahead — the inter-node NIC latency floor — after the
+ * event that sends it.  Conservative time windows [W, W + lookahead)
+ * are bookkeeping only: they decide where a stop lands and are counted
+ * in windows(), and no thread ever runs one.
+ *
  * Fast-path internals: callbacks live in a chunked slab of pooled
  * slots (recycled through a freelist, so a steady-state simulation
  * reuses a handful of slots forever) and the queue is an index-based
- * binary heap of plain {when, seq, slot} records.  Ordering is
- * identical to the original priority_queue<Event, _, EventLater>:
- * earliest tick first, ties broken by lowest sequence number.
- * schedule() is a template that constructs the closure directly in its
- * slot (no intermediate callable object, no move), chunks never move
- * so callbacks are invoked in place, and callbacks are
+ * binary heap of plain {when, seq, slot, node} records: earliest tick
+ * first, ties broken by lowest sequence number.  schedule() is a
+ * template that constructs the closure directly in its slot (no
+ * intermediate callable object, no move), chunks never move so
+ * callbacks are invoked in place, and callbacks are
  * util::InlineFunction, so captures up to the inline capacity never
  * touch the allocator.
  */
@@ -24,6 +31,7 @@
 #define MPRESS_SIM_ENGINE_HH
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -47,11 +55,32 @@ using EventFn = util::InlineFunction<void(), 64>;
  * scheduleIn), then run() to drain the queue.  Closures may schedule
  * further events; the simulation ends when the queue empties or an
  * explicit stop() is requested.
+ *
+ * Why one partitioned engine runs events in the order that one engine
+ * per node did, with messages merged at each window's barrier in
+ * (tick, source node, per-source order) and fired before the
+ * destination's local events at their tick:
+ *  - Every cross-node effect goes through post().  So by induction
+ *    each node schedules, and then runs, its own events in the same
+ *    order as its own engine did: a local event's sequence number is
+ *    a scheduling counter, which grows in the node's own order.
+ *  - Messages that reach a node at tick t were all posted at
+ *    t - lookahead, so they were posted in one window.  The barrier
+ *    delivered them in (tick, source, per-source order), and that is
+ *    the order of the message key (source << 48 | post counter).
+ *    That key sits below every local sequence number, so they still
+ *    run before the node's local events at t.
+ *  - Events of different nodes touch no common state except through
+ *    messages, so how nodes interleave at equal ticks cannot be
+ *    observed.  One engine per node never defined it either.
  */
 class Engine
 {
   public:
     using Callback = EventFn;
+
+    /** Nodes the 14-bit source field of a message key can name. */
+    static constexpr int kMaxNodes = 1 << 14;
 
     Engine() = default;
 
@@ -61,32 +90,26 @@ class Engine
     /** Current simulated time. */
     Tick now() const { return _now; }
 
-    /** Schedule @p fn at absolute tick @p when (>= now()).  The
-     *  closure is constructed directly in its pooled slot. */
+    /** Schedule @p fn at absolute tick @p when (>= now()) on the
+     *  running event's node.  The closure is constructed directly in
+     *  its pooled slot. */
     template <typename F>
     void
     schedule(Tick when, F &&fn)
     {
-        Slot &slot = slotRef(enqueue(when));
+        Slot &slot = slotRef(pushEntry(when, _nextSeq++, _node));
         slot.fn.emplace(std::forward<F>(fn));
     }
 
-    /**
-     * Schedule a cross-shard message at absolute tick @p when.
-     * Messages occupy a sequence band *below* every locally scheduled
-     * event, so at equal ticks all of a tick's injected messages fire
-     * before any local event — and fire in injection order.  The
-     * sharded runner (sim::ShardGroup) injects each window's mailbox
-     * in one canonical order, which makes the execution sequence a
-     * pure function of the event set, independent of shard or worker
-     * count.  Single-engine simulations never call this, so their
-     * event order is untouched.
-     */
+    /** Schedule @p fn at @p when on @p node.  For set-up code outside
+     *  run() (a node's first event, timed fault windows); an event
+     *  schedules on its own node with schedule(). */
     template <typename F>
     void
-    injectMessage(Tick when, F &&fn)
+    scheduleOn(int node, Tick when, F &&fn)
     {
-        Slot &slot = slotRef(enqueueInjected(when));
+        Slot &slot = slotRef(
+            pushEntry(when, _nextSeq++, checkedNode(node)));
         slot.fn.emplace(std::forward<F>(fn));
     }
 
@@ -98,33 +121,57 @@ class Engine
         schedule(_now + delay, std::forward<F>(fn));
     }
 
-    /** Run until the event queue drains or stop() is called. */
-    void run();
+    /**
+     * Send a message from the running event's node: @p fn runs on
+     * node @p dst exactly one lookahead after now().  At its tick a
+     * message fires before every local event, and messages fire in
+     * (source node, post order).
+     */
+    template <typename F>
+    void
+    post(int dst, F &&fn)
+    {
+        Slot &slot = slotRef(postEntry(checkedNode(dst)));
+        slot.fn.emplace(std::forward<F>(fn));
+    }
 
     /**
-     * Run until simulated time would exceed @p limit; events at
-     * exactly @p limit still fire.  Returns true if the queue drained.
+     * Split the engine into @p nodes nodes whose messages take
+     * @p lookahead ticks.  Survives reset().  Panics if @p nodes is
+     * below 1 or above kMaxNodes, if @p lookahead < 1 with more than
+     * one node, or if events are pending.  A default engine has one
+     * node.
      */
-    bool runUntil(Tick limit);
+    void partition(int nodes, Tick lookahead);
 
-    /** Request that run() return after the current event. */
-    void stop() { _stopped = true; }
+    int nodes() const { return static_cast<int>(_stopped.size()); }
 
-    /** True when stop() fired during the last run()/runUntil() call
-     *  (both clear the flag on entry).  The sharded runner checks
-     *  this after every window to halt the whole group. */
-    bool stopped() const { return _stopped; }
+    /**
+     * Run until the event queue drains or stop() is called.  With one
+     * node, run() returns after the stopping event and leaves the
+     * rest queued.  With more, a stop is window-granular: the other
+     * nodes finish the current window, the stopped nodes' remaining
+     * events in it are dropped, and later windows stay queued.
+     */
+    void run();
+
+    /** Stop the running event's node (see run()). */
+    void
+    stop()
+    {
+        _stopping = true;
+        _stopped[_node] = 1;
+    }
 
     /** Number of events executed since construction or reset(). */
     std::uint64_t eventsExecuted() const { return _eventsExecuted; }
 
+    /** Conservative windows opened since construction or reset(); 0
+     *  with one node. */
+    std::uint64_t windows() const { return _windows; }
+
     /** True if no events remain. */
     bool empty() const { return _heap.empty(); }
-
-    /** Tick of the earliest pending event; only valid when
-     *  !empty().  The sharded runner computes window bounds from
-     *  this. */
-    Tick nextEventTime() const { return _heap.front().when; }
 
     /** Clear all pending events and rewind time to zero.  Pending
      *  callbacks are destroyed but the slab chunks and heap capacity
@@ -165,13 +212,13 @@ class Engine
   private:
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-    /** First sequence number of locally scheduled events.  Injected
-     *  cross-shard messages draw from [0, kLocalSeqBase); locals from
-     *  [kLocalSeqBase, ...).  Relative order among locals is exactly
-     *  the pre-band ordering, so single-engine runs are
-     *  byte-identical to the historical encoding. */
+    /** First sequence number of locally scheduled events.  Messages
+     *  draw from [0, kLocalSeqBase) as (source node << kMsgShift) |
+     *  post counter; locals from [kLocalSeqBase, ...). */
     static constexpr std::uint64_t kLocalSeqBase = std::uint64_t{1}
                                                    << 62;
+    static constexpr int kMsgShift = 48;
+    static constexpr Tick kNoHorizon = std::numeric_limits<Tick>::max();
 
     /** Slots per slab chunk.  Chunks are never reallocated, so a
      *  callback's address stays valid while it executes even if it
@@ -186,16 +233,16 @@ class Engine
     };
 
     /** Heap record; plain data so sift operations never move
-     *  callbacks around. */
+     *  callbacks around.  The node fills what was padding: 24 bytes. */
     struct HeapEntry
     {
         Tick when;
         std::uint64_t seq;
         std::uint32_t slot;
+        std::uint32_t node;
     };
 
-    /** Same ordering as the original EventLater comparator: the heap
-     *  front is the entry no other is earlier than. */
+    /** The heap front is the entry no other is earlier than. */
     static bool
     later(const HeapEntry &a, const HeapEntry &b)
     {
@@ -212,14 +259,19 @@ class Engine
 
     /** Validate @p when, reserve a slot, push the heap record; the
      *  caller fills the slot's callback in place. */
-    std::uint32_t enqueue(Tick when);
-
-    /** Like enqueue(), but drawing from the injected-message band. */
-    std::uint32_t enqueueInjected(Tick when);
-
-    std::uint32_t pushEntry(Tick when, std::uint64_t seq);
+    std::uint32_t pushEntry(Tick when, std::uint64_t seq,
+                            std::uint32_t node);
+    /** pushEntry() for a message from the running node. */
+    std::uint32_t postEntry(std::uint32_t dst);
+    std::uint32_t checkedNode(int node) const;
     std::uint32_t acquireSlot();
     HeapEntry popTop();
+    /** Run the event in @p slot and recycle the slot. */
+    void invoke(std::uint32_t slot);
+    /** Destroy @p slot's callback and return it to the freelist. */
+    void release(std::uint32_t slot);
+    /** After a stop: finish the window for the nodes still running. */
+    void finishWindow();
 
     std::vector<HeapEntry> _heap;
     std::vector<std::unique_ptr<Slot[]>> _chunks;
@@ -227,10 +279,19 @@ class Engine
     std::uint32_t _freeHead = kNoSlot;
     std::size_t _heapPeak = 0;
     Tick _now = 0;
+    std::uint32_t _node = 0;  ///< node of the running event
     std::uint64_t _nextSeq = kLocalSeqBase;
-    std::uint64_t _nextInjectSeq = 0;
+    std::uint64_t _nextMsgSeq = 0;
     std::uint64_t _eventsExecuted = 0;
-    bool _stopped = false;
+    Tick _lookahead = 0;
+    /** Exclusive end of the current window; the maximum tick with
+     *  one node, so it never opens one. */
+    Tick _horizon = kNoHorizon;
+    std::uint64_t _windows = 0;
+    bool _stopping = false;
+    /** Per node: stopped during this run(); its size is the node
+     *  count. */
+    std::vector<char> _stopped = std::vector<char>(1, 0);
 };
 
 } // namespace sim

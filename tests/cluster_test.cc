@@ -570,7 +570,7 @@ TEST(ClusterDeterminism, OomRescuePlanIsByteIdenticalAcrossMatrix)
 }
 
 // ---------------------------------------------------------------
-// Sharded simulation: the determinism matrix
+// Multi-node simulation on the one node-partitioned engine
 // ---------------------------------------------------------------
 
 namespace {
@@ -608,31 +608,43 @@ clusterFaults()
 
 } // namespace
 
-TEST(ShardedSim, ReportIsByteIdenticalAcrossTheWorkerMatrix)
+TEST(ShardedSim, ReusedArenaReportIsByteIdentical)
 {
-    // The tentpole contract: ExecutorConfig::simShards is purely a
-    // wall-clock knob.  shards {1, 2, 4} x timeline/metrics on x
-    // fault scenario on/off must produce byte-identical reports,
-    // traces and metric streams on a 2-node cluster.
+    // An arena keeps its engine, and with it the engine's node
+    // partition, across runs and topologies.  A 2-node run on an
+    // arena that just ran a single-node job, and again on the
+    // retained fabric, must match a self-contained run byte for byte,
+    // with timeline, metrics and faults on.
     ClusterJob job(3);
     cp::CompactionPlan plan =
         d2dStageZero(job.part, 1, 4ll * mu::kGiB);
     fault::Scenario faults = clusterFaults();
-    auto run = [&](int shards, bool faulted) {
+    hw::Topology single = hw::Topology::dgx1V100();
+    mm::TransformerModel small(mm::presetByName("bert-0.35b"), 4);
+    mp::Partition small_part = mp::partitionModel(
+        small, 8, mp::Strategy::ComputeBalanced);
+    pl::Schedule small_sched =
+        pl::buildSchedule(pl::SystemKind::PipeDream, 8, 4, 2);
+    for (bool faulted : {false, true}) {
         rt::ExecutorConfig cfg;
         cfg.recordTimeline = true;
         cfg.recordMetrics = true;
-        cfg.simShards = shards;
         if (faulted)
             cfg.faults = &faults;
-        return renderReportBytes(rt::runTraining(
+        const std::string fresh = renderReportBytes(rt::runTraining(
             job.topo, job.mdl, job.part, job.sched, plan, cfg));
-    };
-    for (bool faulted : {false, true}) {
-        std::string golden = run(1, faulted);
-        for (int shards : {2, 4}) {
-            EXPECT_EQ(run(shards, faulted), golden)
-                << "shards=" << shards << " faulted=" << faulted;
+        rt::ExecutorArena arena;
+        rt::ExecutorConfig warm;
+        warm.arena = &arena;
+        rt::runTraining(single, small, small_part, small_sched, {},
+                        warm);
+        cfg.arena = &arena;
+        for (int rerun = 0; rerun < 2; ++rerun) {
+            EXPECT_EQ(renderReportBytes(rt::runTraining(
+                          job.topo, job.mdl, job.part, job.sched,
+                          plan, cfg)),
+                      fresh)
+                << "faulted=" << faulted << " rerun=" << rerun;
         }
     }
 }
@@ -640,8 +652,8 @@ TEST(ShardedSim, ReportIsByteIdenticalAcrossTheWorkerMatrix)
 TEST(ShardedSim, EightNodePlanReplaysByteIdentically)
 {
     // 8 x HGX-H100, GPT-25.5B: plan once, then replay the winning
-    // plan at every shard-worker count (4, 8, and the auto split)
-    // and require byte-identical reports against the serial replay.
+    // plan twice on the one engine and require byte-identical
+    // reports.
     auto spec = cl::clusterByName("8x-hgx-h100");
     ASSERT_TRUE(spec.has_value());
     hw::Topology topo = cl::buildCluster(*spec);
@@ -656,50 +668,35 @@ TEST(ShardedSim, EightNodePlanReplaysByteIdentically)
     auto planned = pn::planMPress(topo, mdl, part, sched, pcfg);
     ASSERT_TRUE(planned.feasible);
 
-    auto run = [&](int shards) {
+    auto run = [&] {
         rt::ExecutorConfig cfg;
         cfg.recordTimeline = true;
         cfg.recordMetrics = true;
-        cfg.simShards = shards;
         return rt::runTraining(topo, mdl, part, sched, planned.plan,
                                cfg);
     };
-    rt::TrainingReport serial = run(1);
-    ASSERT_FALSE(serial.oom);
-    EXPECT_EQ(serial.shardStats.size(), 8u);
-    EXPECT_GT(serial.simWindows, 0u);
-    std::string golden = renderReportBytes(serial);
-    for (int shards : {4, 8, 0}) {
-        rt::TrainingReport r = run(shards);
-        EXPECT_EQ(renderReportBytes(r), golden)
-            << "shards=" << shards;
-        EXPECT_EQ(r.simWindows, serial.simWindows);
-    }
+    rt::TrainingReport first = run();
+    ASSERT_FALSE(first.oom);
+    EXPECT_EQ(first.shardStats.size(), 1u);
+    EXPECT_GT(first.simWindows, 0u);
+    rt::TrainingReport again = run();
+    EXPECT_EQ(renderReportBytes(again), renderReportBytes(first));
+    EXPECT_EQ(again.simWindows, first.simWindows);
 }
 
-TEST(ShardedSim, SingleNodeIgnoresShardKnobAndRunsOneEngine)
+TEST(ShardedSim, SingleNodeRunsOneEngineWithoutWindows)
 {
-    // Single-node topologies keep the exact serial engine path: the
-    // knob is ignored, no windows run, and one shard stat row comes
-    // back.
+    // Single-node topologies open no windows and report one engine
+    // row.
     hw::Topology topo = hw::Topology::dgx1V100();
     mm::TransformerModel mdl(mm::presetByName("bert-0.64b"), 8);
     mp::Partition part = mp::partitionModel(
         mdl, topo.numGpus(), mp::Strategy::ComputeBalanced);
     pl::Schedule sched = pl::buildSchedule(
         pl::SystemKind::Dapple, topo.numGpus(), 8, 2);
-    auto run = [&](int shards) {
-        rt::ExecutorConfig cfg;
-        cfg.recordTimeline = true;
-        cfg.recordMetrics = true;
-        cfg.simShards = shards;
-        return rt::runTraining(topo, mdl, part, sched, {}, cfg);
-    };
-    rt::TrainingReport a = run(0);
-    rt::TrainingReport b = run(4);
+    rt::TrainingReport a = rt::runTraining(topo, mdl, part, sched, {});
     ASSERT_FALSE(a.oom);
     EXPECT_EQ(a.simWindows, 0u);
     ASSERT_EQ(a.shardStats.size(), 1u);
     EXPECT_GT(a.shardStats[0].events, 0u);
-    EXPECT_EQ(renderReportBytes(a), renderReportBytes(b));
 }

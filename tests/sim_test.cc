@@ -5,15 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "sim/engine.hh"
-#include "sim/shard.hh"
 #include "sim/stream.hh"
 
 using mpress::sim::Engine;
@@ -56,19 +53,6 @@ TEST(Engine, EventsCanScheduleEvents)
     });
     eng.run();
     EXPECT_EQ(fired, 1);
-}
-
-TEST(Engine, RunUntilStopsAtLimit)
-{
-    Engine eng;
-    int fired = 0;
-    eng.schedule(10, [&] { ++fired; });
-    eng.schedule(20, [&] { ++fired; });
-    bool drained = eng.runUntil(15);
-    EXPECT_FALSE(drained);
-    EXPECT_EQ(fired, 1);
-    EXPECT_TRUE(eng.runUntil(100));
-    EXPECT_EQ(fired, 2);
 }
 
 TEST(Engine, StopInterruptsRun)
@@ -190,18 +174,6 @@ TEST(StreamAndEngine, InterleavedStreamsOverlap)
 // Fast-path queue semantics (pooled slots, inline callables)
 // ---------------------------------------------------------------
 
-TEST(Engine, EventAtExactRunUntilLimitFires)
-{
-    Engine eng;
-    int fired = 0;
-    eng.schedule(15, [&] { ++fired; });
-    eng.schedule(16, [&] { ++fired; });
-    EXPECT_FALSE(eng.runUntil(15));  // inclusive limit
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eng.now(), 15);
-    EXPECT_EQ(eng.queueDepth(), 1u);
-}
-
 TEST(Engine, StopLeavesRemainderQueued)
 {
     Engine eng;
@@ -314,189 +286,178 @@ TEST(Stream, NameIsAViewOfOwnedStorage)
 }
 
 // ---------------------------------------------------------------
-// ShardGroup — conservative-window parallel shards
+// A node-partitioned engine: messages, windows and node stops
 // ---------------------------------------------------------------
 
-using mpress::sim::ShardGroup;
-
-namespace {
-
-/** Two engines wrapped in a group with lookahead L. */
-struct TwoShards
+TEST(Engine, PartitionRejectsBadShapes)
 {
-    Engine a;
-    Engine b;
-    ShardGroup group;
+    Engine eng;
+    EXPECT_DEATH(eng.partition(0, 10), "1\\.\\.16384 nodes");
+    EXPECT_DEATH(eng.partition(Engine::kMaxNodes + 1, 10),
+                 "1\\.\\.16384 nodes");
+    EXPECT_DEATH(eng.partition(2, 0), "lookahead");
+    eng.schedule(5, [] {});
+    EXPECT_DEATH(eng.partition(2, 10), "1 events pending");
+    eng.reset();
+    // The edges are legal, and one node needs no lookahead.
+    eng.partition(1, 0);
+    eng.partition(Engine::kMaxNodes, 1);
+    EXPECT_EQ(eng.nodes(), Engine::kMaxNodes);
+}
 
-    explicit TwoShards(Tick lookahead)
-        : group({&a, &b}, lookahead)
-    {}
-};
-
-} // namespace
-
-TEST(ShardGroup, CrossShardMessageFiresAtItsTick)
+TEST(PartitionedEngine, CrossNodeMessageFiresAtItsTick)
 {
-    TwoShards s(10);
+    Engine eng;
+    eng.partition(2, 10);
     std::vector<std::pair<int, Tick>> fired;
-    s.a.schedule(5, [&] {
-        fired.push_back({0, s.a.now()});
-        s.group.post(0, 1, s.a.now() + 10,
-                     [&] { fired.push_back({1, s.b.now()}); });
+    eng.scheduleOn(0, 5, [&] {
+        fired.push_back({0, eng.now()});
+        eng.post(1, [&] { fired.push_back({1, eng.now()}); });
     });
-    s.group.run(1);
+    eng.run();
     ASSERT_EQ(fired.size(), 2u);
     EXPECT_EQ(fired[0], (std::pair<int, Tick>{0, 5}));
     EXPECT_EQ(fired[1], (std::pair<int, Tick>{1, 15}));
+    EXPECT_EQ(eng.windows(), 2u);
 }
 
-TEST(ShardGroup, MessageExactlyAtTheLookaheadHorizonFires)
+TEST(PartitionedEngine, MessageExactlyAtTheLookaheadHorizonFires)
 {
-    // The tightest legal send: when == posting tick + L, landing on
-    // the first tick of the *next* window.  A window bound that was
-    // inclusive where it should be exclusive (or vice versa) either
-    // drops this message or fires it inside the current window.
-    TwoShards s(7);
+    // A message lands exactly one lookahead on: the first tick of the
+    // *next* window.  A window bound that was inclusive where it
+    // should be exclusive (or vice versa) either loses the window or
+    // counts one too many.
+    Engine eng;
+    eng.partition(2, 7);
     Tick fired_at = -1;
-    // Give the destination a later event so the run doesn't end
-    // before the message's tick.
-    s.b.schedule(100, [] {});
-    s.a.schedule(3, [&] {
-        s.group.post(0, 1, s.a.now() + 7,
-                     [&] { fired_at = s.b.now(); });
+    eng.scheduleOn(1, 100, [] {});
+    eng.scheduleOn(0, 3, [&] {
+        eng.post(1, [&] { fired_at = eng.now(); });
     });
-    s.group.run(1);
+    eng.run();
     EXPECT_EQ(fired_at, 10);
-    EXPECT_EQ(s.group.maxNow(), 100);
+    EXPECT_EQ(eng.now(), 100);
+    // Windows open at 3, 10 and 100.
+    EXPECT_EQ(eng.windows(), 3u);
 }
 
-TEST(ShardGroup, ZeroLatencySelfSendUsesTheEngineDirectly)
+TEST(PartitionedEngine, ZeroLatencySelfScheduleStaysLocal)
 {
-    // Intra-shard effects bypass the mailbox entirely: an event may
-    // schedule another at its own tick on its own engine, exactly as
-    // in a single-engine simulation.
-    TwoShards s(10);
+    // An event may schedule another at its own tick on its own node,
+    // exactly as on an unpartitioned engine; only post() pays the
+    // lookahead.
+    Engine eng;
+    eng.partition(2, 10);
     std::vector<int> order;
-    s.a.schedule(4, [&] {
+    eng.scheduleOn(0, 4, [&] {
         order.push_back(1);
-        s.a.schedule(s.a.now(), [&] { order.push_back(2); });
-        s.a.scheduleIn(0, [&] { order.push_back(3); });
+        eng.schedule(eng.now(), [&] { order.push_back(2); });
+        eng.scheduleIn(0, [&] { order.push_back(3); });
     });
-    s.b.schedule(50, [] {});
-    s.group.run(1);
+    eng.scheduleOn(1, 50, [] {});
+    eng.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(ShardGroup, StopMidWindowIsWindowGranular)
+TEST(PartitionedEngine, StopMidWindowIsWindowGranular)
 {
-    // requestStop() from inside an event halts at the next window
-    // boundary: every shard finishes the current window, nothing in
-    // later windows runs, and stopped() reports the early halt.
-    TwoShards s(10);
+    // A node's stop ends that node at once, while the other nodes
+    // finish the window; nothing in a later window runs.
+    Engine eng;
+    eng.partition(2, 10);
     std::vector<int> fired;
-    s.a.schedule(1, [&] {
+    eng.scheduleOn(0, 1, [&] {
         fired.push_back(1);
-        s.group.requestStop();
+        eng.stop();
     });
-    // Same window (ticks [1, 11)): must still run.
-    s.b.schedule(5, [&] { fired.push_back(2); });
-    // Next window: must not run.
-    s.a.schedule(40, [&] { fired.push_back(3); });
-    s.b.schedule(41, [&] { fired.push_back(4); });
-    s.group.run(1);
-    EXPECT_TRUE(s.group.stopped());
-    EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+    // Same window (ticks [1, 11)) on the stopped node: dropped.
+    eng.scheduleOn(0, 3, [&] { fired.push_back(2); });
+    // Same window on the other node: runs, and may schedule within it.
+    eng.scheduleOn(1, 5, [&] {
+        fired.push_back(3);
+        eng.scheduleIn(5, [&] { fired.push_back(4); });
+        eng.scheduleIn(6, [&] { fired.push_back(5); });
+    });
+    // Next window: stays queued.
+    eng.scheduleOn(1, 40, [&] { fired.push_back(6); });
+    eng.run();
+    EXPECT_EQ(fired, (std::vector<int>{1, 3, 4}));
+    EXPECT_EQ(eng.now(), 10);
+    EXPECT_EQ(eng.windows(), 1u);
+    EXPECT_EQ(eng.eventsExecuted(), 3u);
+    EXPECT_EQ(eng.queueDepth(), 2u);
 }
 
-TEST(ShardGroup, MergeOrderIsWhenThenSourceThenSeq)
+TEST(PartitionedEngine, TwoNodesStopInOneWindow)
 {
-    // Messages from different sources landing on the same shard at
-    // the same tick fire in (when, src, per-src seq) order no matter
-    // the order the outboxes drained in.
-    Engine a, b, c;
-    ShardGroup group({&a, &b, &c}, 5);
+    // Node 1 stops while node 0's stop is finishing the window: both
+    // lose the rest of it, node 2 still runs all of it.
+    Engine eng;
+    eng.partition(3, 10);
+    std::vector<int> fired;
+    eng.scheduleOn(0, 0, [&] {
+        fired.push_back(1);
+        eng.stop();
+    });
+    eng.scheduleOn(1, 2, [&] {
+        fired.push_back(2);
+        eng.stop();
+    });
+    eng.scheduleOn(0, 4, [&] { fired.push_back(3); });
+    eng.scheduleOn(1, 5, [&] { fired.push_back(4); });
+    eng.scheduleOn(2, 6, [&] { fired.push_back(5); });
+    eng.scheduleOn(2, 9, [&] { fired.push_back(6); });
+    eng.scheduleOn(2, 10, [&] { fired.push_back(7); });
+    eng.run();
+    EXPECT_EQ(fired, (std::vector<int>{1, 2, 5, 6}));
+    EXPECT_EQ(eng.now(), 9);
+    EXPECT_EQ(eng.queueDepth(), 1u);
+}
+
+TEST(PartitionedEngine, MergeOrderIsWhenThenSourceThenSeq)
+{
+    // Messages from different nodes landing on one node at the same
+    // tick fire in (source, post order), whatever order the sources
+    // ran in, and before the destination's local events at that tick.
+    Engine eng;
+    eng.partition(3, 5);
     std::vector<int> order;
-    // Both sources post two messages to shard 2 at the same tick.
-    b.schedule(0, [&] {
-        group.post(1, 2, 10, [&] { order.push_back(10); });
-        group.post(1, 2, 10, [&] { order.push_back(11); });
+    eng.scheduleOn(1, 5, [&] {
+        eng.post(2, [&] { order.push_back(10); });
+        eng.post(2, [&] { order.push_back(11); });
     });
-    a.schedule(0, [&] {
-        group.post(0, 2, 10, [&] { order.push_back(0); });
-        group.post(0, 2, 10, [&] { order.push_back(1); });
+    eng.scheduleOn(0, 5, [&] {
+        eng.post(2, [&] { order.push_back(0); });
+        eng.post(2, [&] { order.push_back(1); });
     });
-    // A local event on the destination at the same tick: injected
-    // messages occupy the low sequence band, so it fires last.
-    c.schedule(10, [&] { order.push_back(99); });
-    group.run(1);
+    eng.scheduleOn(2, 10, [&] { order.push_back(99); });
+    eng.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11, 99}));
 }
 
-TEST(ShardGroup, IdenticalAtAnyWorkerCount)
+TEST(PartitionedEngine, ResetRetainsSlabsAndReplaysIdentically)
 {
-    // A three-shard ping-pong mesh with same-tick collisions: each
-    // shard's executed (tick, tag) sequence must be byte-identical
-    // for 1, 2 and 3 workers.  (Only the per-shard order is defined;
-    // a global interleaving across concurrent shards is not — and a
-    // shared trace vector would be a data race under workers > 1.)
-    auto run = [](int workers) {
-        Engine e0, e1, e2;
-        ShardGroup group({&e0, &e1, &e2}, 3);
-        std::vector<std::tuple<Tick, int>> trace[3];
-        Engine *engines[3] = {&e0, &e1, &e2};
-        std::function<void(int, int, int)> hop =
-            [&](int src, int hops, int tag) {
-                trace[src].emplace_back(engines[src]->now(), tag);
-                if (hops == 0)
-                    return;
-                int dst = (src + 1) % 3;
-                group.post(src, dst, engines[src]->now() + 3,
-                           [&, dst, hops, tag] {
-                               hop(dst, hops - 1, tag);
-                           });
-            };
-        for (int tag = 0; tag < 4; ++tag) {
-            engines[tag % 3]->schedule(tag % 2, [&, tag] {
-                hop(tag % 3, 5, tag);
-            });
-        }
-        group.run(workers);
-        std::vector<std::tuple<int, Tick, int>> flat;
-        for (int s = 0; s < 3; ++s) {
-            for (auto &[tick, tag] : trace[s])
-                flat.emplace_back(s, tick, tag);
-        }
-        return flat;
-    };
-    auto one = run(1);
-    EXPECT_EQ(one.size(), 24u);
-    EXPECT_EQ(run(2), one);
-    EXPECT_EQ(run(3), one);
-}
-
-TEST(ShardGroup, ResetRetainsSlabsAndReplaysIdentically)
-{
-    Engine a, b;
-    ShardGroup group({&a, &b}, 4);
+    Engine eng;
+    eng.partition(2, 4);
     auto load = [&](std::vector<Tick> *fired) {
-        a.schedule(0, [&, fired] {
-            fired->push_back(a.now());
-            group.post(0, 1, 4, [&, fired] {
-                fired->push_back(b.now());
-            });
+        eng.scheduleOn(0, 0, [&, fired] {
+            fired->push_back(eng.now());
+            eng.post(1, [&, fired] { fired->push_back(eng.now()); });
         });
     };
     std::vector<Tick> first, second;
     load(&first);
-    group.run(2);
-    EXPECT_GE(group.windowsRun(), 1u);
-    group.reset();
-    EXPECT_EQ(a.now(), 0);
-    EXPECT_EQ(b.now(), 0);
+    eng.run();
+    EXPECT_EQ(eng.windows(), 2u);
+    eng.reset();
+    EXPECT_EQ(eng.now(), 0);
+    EXPECT_EQ(eng.windows(), 0u);
+    EXPECT_EQ(eng.nodes(), 2);  // the partition survives reset()
     load(&second);
-    group.run(1);
+    eng.run();
     EXPECT_EQ(first, second);
-    group.reset();
-    group.shrink();
-    EXPECT_EQ(a.reservedSlots(), 0u);
+    EXPECT_EQ(first, (std::vector<Tick>{0, 4}));
+    eng.reset();
+    eng.shrink();
+    EXPECT_EQ(eng.reservedSlots(), 0u);
 }

@@ -231,9 +231,7 @@ if [ "$run_tsan" = 1 ]; then
     # drives concurrently, the fault suites, the determinism suite
     # that exercises threads=1 vs threads=4, and the serve daemon
     # (request workers + readers sharing the resident trial cache and
-    # per-connection write locks), the fabric, and the golden digests,
-    # whose cross-node case runs shard workers that write the
-    # executor's shared per-instance state from different threads.
+    # per-connection write locks), the fabric, and the golden digests.
     cmake -B build-tsan -S . -DMPRESS_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "$jobs"
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
@@ -301,7 +299,9 @@ if [ "$run_perf" = 1 ]; then
     # event", not single-digit regressions, and must not flake on a
     # loaded CI box.  The switch-fabric iteration's event count is
     # exact on any host, so it gets an exact gate: more events than
-    # committed means per-lane transfer events came back.  After
+    # committed means per-lane transfer events came back.  The node
+    # ring's window count is exact too, and windows decide where a
+    # multi-node stop lands, so it must equal the committed count.  After
     # deliberate engine changes, refresh the committed BENCH_sim.json
     # from the repo root with the full, unfiltered bench:
     #   MPRESS_BENCH_DIR=. MPRESS_GIT_REV=$(git rev-parse --short HEAD) \
@@ -315,7 +315,7 @@ if [ "$run_perf" = 1 ]; then
     MPRESS_GIT_REV=$(git rev-parse --short HEAD 2>/dev/null || echo unknown) \
     MPRESS_BENCH_DATE=$(date -u +%Y-%m-%d) \
         ./build-perf/bench/bench_sim_micro \
-        --benchmark_filter='BM_EventQueue|BM_EventChainSteady|BM_FullIterationSwitchFabric' \
+        --benchmark_filter='BM_EventQueue|BM_EventChainSteady|BM_FullIterationSwitchFabric|BM_NodeWindows' \
         --benchmark_min_time=0.5 >/dev/null
     python3 - "$perf/BENCH_sim.json" BENCH_sim.json <<'EOF'
 import json, sys
@@ -342,10 +342,17 @@ status = "ok" if got <= want else "REGRESSED"
 print("%-28s %8d events/run vs baseline %8d %s"
       % (name, got, want, status))
 failed = failed or got > want
+for name in ("BM_NodeWindows/2", "BM_NodeWindows/8"):
+    want = base[name]["windows_per_run"]
+    got = fresh[name]["windows_per_run"]
+    status = "ok" if got == want else "CHANGED"
+    print("%-28s %8d windows/run vs baseline %8d %s"
+          % (name, got, want, status))
+    failed = failed or got != want
 if failed:
-    sys.exit("perf smoke failed: event queue slower or more events "
-             "than baseline - investigate before updating "
-             "BENCH_sim.json")
+    sys.exit("perf smoke failed: event queue slower, more events or "
+             "other windows than baseline - investigate before "
+             "updating BENCH_sim.json")
 EOF
 
     echo "== planner search smoke (Release + IPO) =="

@@ -10,8 +10,9 @@
 #  3. no wall-clock reads in deterministic modules: simulated time is
 #     the only clock src/sim, src/runtime, src/memory, src/fault,
 #     src/compaction and src/analysis may observe
-#  4. the engine dispatch loops (Engine::run / Engine::runUntil) never
-#     allocate or grow containers -- they only pop, invoke and recycle
+#  4. the engine dispatch loops (Engine::run and its helpers invoke,
+#     release and finishWindow) never allocate or grow containers --
+#     they only pop, invoke and recycle
 #
 # Exits non-zero on the first violated rule, printing every offending
 # line.  Comments are stripped before matching so prose cannot trip the
@@ -81,13 +82,13 @@ fi
 # Rule 4: the dispatch loops only pop, invoke and recycle.
 grow='push_back|emplace_back|\.resize\(|\.reserve\(|\.insert\('
 grow+="|$alloc"
-body=$(awk '/^Engine::run(Until)?\(/ { inbody = 1 }
+body=$(awk '/^Engine::(run|invoke|release|finishWindow)\(/ { inbody = 1 }
             inbody { print }
             /^}/ { inbody = 0 }' src/sim/engine.cc |
        sed 's@//.*@@')
 hits=$(grep -nE "$grow" <<<"$body" || true)
 if [ -n "$hits" ]; then
-    report "allocation or container growth in Engine::run/runUntil" \
+    report "allocation or container growth in the Engine dispatch loops" \
            "$hits"
 fi
 
