@@ -4,21 +4,32 @@
  * single-threaded search finishes an artificially complex stress case
  * in 47 s and real cases in a few seconds.  Our simulator evaluates
  * mappings with analytic drain times and prunes every placement
- * prefix whose score ceiling cannot beat the best found so far, so
- * the 8! sweep completes in well under a second.  The bench reports
- * how many placements were evaluated and pruned (their sum is the
- * full 8! space) and the wall time.
+ * prefix whose score ceiling cannot beat the best found so far, and
+ * every leaf whose drain floor cannot (before its spare is assigned,
+ * or before its stripe plans are built), so the 8! sweep completes in
+ * well under a second.  Besides the hand-made typical, stress and
+ * re-map cases it scans the profile peaks of the three Fig. 7 Bert
+ * jobs (PipeDream on DGX-1, the inputs the planner's first scan
+ * sees).  The bench reports how many placements were evaluated and
+ * pruned (their sum is the full 8! space) and the wall time.
  */
 
 #include <chrono>
 #include <cstdio>
 #include <iostream>
 
+#include "model/model.hh"
+#include "partition/partition.hh"
+#include "pipeline/schedule.hh"
 #include "planner/mapper.hh"
+#include "planner/planner.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 
 namespace hw = mpress::hw;
+namespace mm = mpress::model;
+namespace mp = mpress::partition;
+namespace pl = mpress::pipeline;
 namespace pn = mpress::planner;
 namespace mu = mpress::util;
 
@@ -70,6 +81,21 @@ main()
     std::vector<mu::Bytes> desire(8, 2 * mu::kGB);
     timedSearch(table, "DGX-1 re-map", hw::Topology::dgx1V100(), remap,
                 28 * mu::kGB, desire);
+
+    // The Fig. 7 Bert jobs' profile peaks (PipeDream, microbatch 12,
+    // one microbatch per minibatch, 24 minibatches).
+    for (const char *preset : {"bert-1.67b", "bert-4.0b", "bert-6.2b"}) {
+        auto topo = hw::Topology::dgx1V100();
+        mm::TransformerModel mdl(mm::presetByName(preset), 12);
+        auto part = mp::partitionModel(mdl, 8,
+                                       mp::Strategy::ComputeBalanced);
+        auto sched =
+            pl::buildSchedule(pl::SystemKind::PipeDream, 8, 1, 24);
+        auto profile = pn::profileJob(topo, mdl, part, sched);
+        timedSearch(table,
+                    mu::strformat("%s peaks", preset).c_str(), topo,
+                    profile.stagePeak, profile.usableCapacity);
+    }
 
     // Symmetric fabric short-circuits.
     timedSearch(table, "DGX-2 (symmetric)", hw::Topology::dgx2A100(),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "compaction/striping.hh"
@@ -38,22 +39,30 @@ stableSortSmall(std::vector<T> &v, Less less)
  *  O(n^2) lookups per placement, x 40320 placements); one flat copy
  *  keeps the scan in cache.  Lane counts come from pathLanes(), so on
  *  a cluster a cross-node pair shows its (thin) NIC path instead of
- *  zero — cross-node donors are reachable, just unattractive. */
+ *  zero — cross-node donors are reachable, just unattractive.  Each
+ *  connected pair's link spec is cached too (the topology outlives
+ *  the scan): linkSpecBetween() is a std::map lookup, and the drain
+ *  floors read it at every leaf. */
 struct LaneMatrix
 {
     int n = 0;
     std::vector<int> lanes;
     std::vector<int> node;
+    std::vector<const hw::LinkSpec *> specs;
 
     explicit LaneMatrix(const hw::Topology &topo)
         : n(topo.numGpus()),
           lanes(static_cast<std::size_t>(n) * static_cast<std::size_t>(n)),
-          node(static_cast<std::size_t>(n))
+          node(static_cast<std::size_t>(n)),
+          specs(lanes.size())
     {
         for (int a = 0; a < n; ++a) {
             node[static_cast<std::size_t>(a)] = topo.nodeOf(a);
-            for (int b = 0; b < n; ++b)
+            for (int b = 0; b < n; ++b) {
                 lanes[idx(a, b)] = topo.pathLanes(a, b);
+                if (lanes[idx(a, b)] > 0)
+                    specs[idx(a, b)] = &topo.linkSpecBetween(a, b);
+            }
         }
     }
 
@@ -66,6 +75,12 @@ struct LaneMatrix
     }
 
     int at(int a, int b) const { return lanes[idx(a, b)]; }
+
+    /** Link spec of a pair with lanes; nullptr for the others. */
+    const hw::LinkSpec *spec(int a, int b) const
+    {
+        return specs[idx(a, b)];
+    }
 
     bool sameNode(int a, int b) const
     {
@@ -100,6 +115,8 @@ struct Scratch
     std::vector<int> importers;
     /** Per-exporter grant lists (indexed by GPU, cleared per eval). */
     std::vector<std::vector<SpareGrant>> grantList;
+    /** The GPUs floor A's lead exporter could draw spare from. */
+    std::vector<SpareGrant> reach;
     std::vector<int> stageToGpu;
 
     explicit Scratch(int n)
@@ -111,6 +128,7 @@ struct Scratch
     {
         exporters.reserve(static_cast<std::size_t>(n));
         importers.reserve(static_cast<std::size_t>(n));
+        reach.reserve(static_cast<std::size_t>(n));
         stageToGpu.reserve(static_cast<std::size_t>(n));
     }
 };
@@ -123,6 +141,17 @@ grantableSpare(Bytes demand, Bytes capacity)
     Bytes spare = demand < capacity ? capacity - demand : 0;
     return static_cast<Bytes>(static_cast<double>(spare) *
                               kSpareSafety);
+}
+
+/** Budget an exporter overflowing by @p over bytes asks for when no
+ *  explicit desire is given: comfortably more than its raw overflow,
+ *  because swap classes are whole layers with all in-flight instances
+ *  resident on importers at once, so the concurrent footprint exceeds
+ *  the peak overshoot.  0 when nothing overflows. */
+Bytes
+overflowDesire(Bytes over)
+{
+    return over > 0 ? 2 * over + 2 * util::kGB : 0;
 }
 
 /**
@@ -155,20 +184,13 @@ assignSpareInto(Scratch &ws, const LaneMatrix &lanes,
         return d > capacity ? d - capacity : 0;
     };
 
-    // Each exporter wants comfortably more budget than its raw
-    // overflow: swap classes are whole layers with all in-flight
-    // instances resident on importers at once, so the concurrent
-    // footprint exceeds the peak overshoot.  An explicit desire
-    // vector (the planner's post-compaction re-map) overrides the
-    // overflow heuristic.
+    // An explicit desire vector (the planner's post-compaction
+    // re-map) overrides the overflow heuristic.
     std::fill(ws.desire.begin(), ws.desire.end(), 0);
     if (stage_desire.empty()) {
-        for (int exp = 0; exp < n; ++exp) {
-            Bytes over = overflow_of(exp);
-            if (over > 0)
-                ws.desire[static_cast<std::size_t>(exp)] =
-                    2 * over + 2 * util::kGB;
-        }
+        for (int exp = 0; exp < n; ++exp)
+            ws.desire[static_cast<std::size_t>(exp)] =
+                overflowDesire(overflow_of(exp));
     } else {
         for (int s = 0; s < num_stages; ++s) {
             ws.desire[static_cast<std::size_t>(
@@ -266,15 +288,44 @@ assignSpareInto(Scratch &ws, const LaneMatrix &lanes,
     }
 }
 
-/** Overflow coverage of the current ws grant assignment — the cheap
- *  part of the evaluation, and an upper bound on the score (drain
- *  time and adjacency penalties only subtract). */
-double
-coverageOf(const Scratch &ws, Bytes capacity)
+/**
+ * Lower bound on the drain time of @p placed bytes striped out of
+ * @p exp towards some of @p importers (only their GPUs are read): the
+ * stripes use at most the importers' summed lane count L, so the worst
+ * stripe takes at least transferTime(ceil(placed / L)) on the fastest
+ * of their link specs (see scoreCeiling).  0 when nothing is placed.
+ */
+Tick
+drainFloor(const LaneMatrix &lanes, int exp, Bytes placed,
+           const std::vector<SpareGrant> &importers)
 {
+    if (placed <= 0)
+        return 0;
+    Bytes total_lanes = 0;
+    for (const auto &g : importers)
+        total_lanes += lanes.at(exp, g.importerGpu);
+    const Bytes per_lane = (placed + total_lanes - 1) / total_lanes;
+    Tick floor = std::numeric_limits<Tick>::max();
+    const hw::LinkSpec *last = nullptr;
+    for (const auto &g : importers) {
+        const hw::LinkSpec *spec = lanes.spec(exp, g.importerGpu);
+        if (spec != last)  // neighbours mostly share one spec
+            floor = std::min(floor, spec->transferTime(per_lane));
+        last = spec;
+    }
+    return floor;
+}
+
+/** The cheap part of the evaluation, read off the current ws grant
+ *  lists: the exact overflow coverage, and in place of the worst
+ *  drain its floor B, each exporter's drainFloor() over its own
+ *  grants (see scoreCeiling).  Adjacency is left at 0. */
+Evaluation
+grantBound(const Scratch &ws, const LaneMatrix &lanes, Bytes capacity)
+{
+    Evaluation bound;
     Bytes total_overflow = 0, covered = 0;
-    const int n = static_cast<int>(ws.demandOnGpu.size());
-    for (int gpu = 0; gpu < n; ++gpu) {
+    for (int gpu = 0; gpu < lanes.n; ++gpu) {
         Bytes d = ws.demandOnGpu[static_cast<std::size_t>(gpu)];
         if (d <= capacity)
             continue;
@@ -286,17 +337,21 @@ coverageOf(const Scratch &ws, Bytes capacity)
         Bytes granted = 0;
         for (const auto &g : gl)
             granted += g.budget;
-        covered += std::min(over, granted);
+        Bytes placed = std::min(over, granted);
+        covered += placed;
+        bound.worstDrain = std::max(bound.worstDrain,
+                                    drainFloor(lanes, gpu, placed, gl));
     }
-    return total_overflow == 0
-               ? 1.0
-               : static_cast<double>(covered) /
-                     static_cast<double>(total_overflow);
+    bound.coverage = total_overflow == 0
+                         ? 1.0
+                         : static_cast<double>(covered) /
+                               static_cast<double>(total_overflow);
+    return bound;
 }
 
 /** The expensive half of the evaluation: stripe-plan drain times and
- *  pipeline adjacency, run only for candidates whose coverage bound
- *  can still beat the chunk's best score. */
+ *  pipeline adjacency, run only for candidates whose grantBound() can
+ *  still beat the chunk's best score. */
 Evaluation
 finishEval(const hw::Topology &topo, const LaneMatrix &lanes,
            const Scratch &ws, const std::vector<int> &stage_to_gpu,
@@ -350,46 +405,142 @@ scoreOf(const Evaluation &ev)
 
 /**
  * Upper bound on scoreOf() for any evaluation whose coverage is at
- * most @p coverage and whose broken adjacencies are at least
- * @p broken.  Sound in floating point, not just in real arithmetic:
- * coverage <= ceiling holds on the doubles (same integer-to-double
- * division), the drain term is >= 0 and the penalty is a fixed
- * constant >= 0, and IEEE round-to-nearest is monotone in every
- * operation used, so each rounded step of scoreOf() stays at or
- * below the matching step here.
+ * most @p coverage, whose worst drain is at least @p drain_floor and
+ * whose broken adjacencies are at least @p broken: scoreOf() itself,
+ * with the bounds in place of the evaluation.  The scan feeds it the
+ * coverage ceiling (ScanBounds) or a leaf's exact coverage, and no
+ * drain floor (0) or one of two, both drainFloor() of some exporter:
+ *
+ *  - floor A, at a leaf before any spare is assigned: the lead
+ *    exporter (the unique stage of largest desire, if it overflows)
+ *    is served first from spare nobody has touched, so it is granted
+ *    exactly min(desire, spare of its reachable GPUs with spare > 0)
+ *    whatever the other stages do, and stripes over some of them;
+ *  - floor B, after assignSpareInto(): every exporter over its own
+ *    grant list (grantBound()).
+ *
+ * Sound in floating point, not just in real arithmetic:
+ *  1. An exporter places B = min(overflow, granted) bytes in stripes
+ *     whose lanes sum to at most L.  The stripes' bytes sum to B, so
+ *     some stripe's bytes-per-lane is at least B / L, and
+ *     stripePlanTime() rounds per-lane bytes up: that stripe carries at
+ *     least ceil(B / L) bytes per lane.  Its time is its own spec's
+ *     transferTime() of that many bytes or more, hence at least the
+ *     minimum over the candidate specs — given (2).
+ *  2. LinkSpec::transferTime() is monotone in bytes on the doubles.
+ *     Exactly it is latency + 1e9 (b + ramp) / peak ns, so one byte
+ *     adds 1e9 / peak ns.  Its five rounded operations move the value
+ *     by under 6 * 2^-53 relative; for peak <= 500 GB/s (the
+ *     presets stop at 64) and times under 1000 s the two values'
+ *     errors sum to under 1.4e-3 ns, below the 2e-3 ns step, so the
+ *     computed values keep their order, and trunc, the 1-tick clamp
+ *     and the integer latency add keep it too
+ *     (LinkSpec.TransferTimeIsMonotoneInBytes checks the presets).
+ *  3. scoreOf() is monotone in each field: coverage <= ceiling holds
+ *     on the doubles (same integer-to-double division), and int64 to
+ *     double, the division in toMs(), the add of a fixed non-negative
+ *     penalty and the final subtraction are IEEE round-to-nearest
+ *     operations, each monotone.  So each rounded step of scoreOf()
+ *     on the evaluation stays at or below the matching step here.
  */
 double
-scoreCeiling(double coverage, int broken)
+scoreCeiling(double coverage, Tick drain_floor, int broken)
 {
-    return coverage * 1e6 - kAdjacencyPenaltyMs * broken;
+    return scoreOf({coverage, drain_floor, broken});
 }
 
-/**
- * Placement-independent ceiling on coverageOf().  Each GPU hosts at
- * most one stage, so the total overflow is the same for every
- * placement, and every grant is carved out of some GPU's
- * grantableSpare() (a GPU hosting no stage lends capacity x
- * kSpareSafety).  Covered bytes can therefore never exceed
- * min(total overflow, total spare).  1.0 when nothing overflows.
- */
-double
-coverageCeiling(const std::vector<Bytes> &stage_demand, int num_gpus,
-                Bytes capacity)
+/** Placement-independent inputs of the scan's bounds, computed once
+ *  per search. */
+struct ScanBounds
 {
-    Bytes total_overflow = 0, total_spare = 0;
-    for (Bytes d : stage_demand) {
-        total_overflow += d > capacity ? d - capacity : 0;
-        total_spare += grantableSpare(d, capacity);
+    /**
+     * Ceiling on a leaf's coverage.  Each GPU hosts at most one stage,
+     * so the total overflow is the same for every placement, and
+     * every grant is carved out of some GPU's grantableSpare() (a GPU
+     * hosting no stage lends capacity x kSpareSafety).  Covered bytes
+     * can therefore never exceed min(total overflow, total spare).
+     * 1.0 when nothing overflows.
+     */
+    double ceiling = 1.0;
+    /** Floor A's lead exporter: the unique stage of largest desire, if
+     *  it overflows; -1 otherwise.  On a tie the stable sort in
+     *  assignSpareInto() serves the lower GPU first, which depends on
+     *  the placement, so floor A is off. */
+    int lead = -1;
+    Bytes leadOver = 0;
+    Bytes leadDesire = 0;
+    /** grantableSpare() of each stage's GPU, and of a GPU with none. */
+    std::vector<Bytes> stageSpare;
+    Bytes idleSpare = 0;
+};
+
+ScanBounds
+scanBounds(const std::vector<Bytes> &stage_demand, int num_gpus,
+           Bytes capacity, const std::vector<Bytes> &stage_desire)
+{
+    ScanBounds b;
+    b.idleSpare = grantableSpare(0, capacity);
+    Bytes total_overflow = 0, total_spare = 0, top = 0;
+    bool tied = false;
+    for (std::size_t s = 0; s < stage_demand.size(); ++s) {
+        Bytes d = stage_demand[s];
+        Bytes over = d > capacity ? d - capacity : 0;
+        total_overflow += over;
+        b.stageSpare.push_back(grantableSpare(d, capacity));
+        total_spare += b.stageSpare.back();
+        // The desire assignSpareInto() gives the stage's GPU.
+        Bytes desire =
+            stage_desire.empty() ? overflowDesire(over) : stage_desire[s];
+        if (desire > top) {
+            top = desire;
+            tied = false;
+            b.lead = static_cast<int>(s);
+            b.leadOver = over;
+            b.leadDesire = desire;
+        } else if (desire > 0 && desire == top) {
+            tied = true;
+        }
     }
+    if (tied || b.leadOver == 0)
+        b.lead = -1;
     const auto idle =
         static_cast<Bytes>(num_gpus) -
         static_cast<Bytes>(stage_demand.size());
-    total_spare += idle * grantableSpare(0, capacity);
-    return total_overflow == 0
-               ? 1.0
-               : static_cast<double>(
-                     std::min(total_overflow, total_spare)) /
-                     static_cast<double>(total_overflow);
+    total_spare += idle * b.idleSpare;
+    b.ceiling = total_overflow == 0
+                    ? 1.0
+                    : static_cast<double>(
+                          std::min(total_overflow, total_spare)) /
+                          static_cast<double>(total_overflow);
+    return b;
+}
+
+/** Floor A (see scoreCeiling): the lead exporter's drainFloor() over
+ *  every GPU it reaches with spare, read off the stage each one hosts
+ *  (@p gpu_stage, -1 for none) before any spare is assigned. */
+Tick
+leadDrainFloor(Scratch &ws, const LaneMatrix &lanes,
+               const ScanBounds &bounds,
+               const std::vector<int> &gpu_stage)
+{
+    const int exp =
+        ws.stageToGpu[static_cast<std::size_t>(bounds.lead)];
+    ws.reach.clear();
+    Bytes spare = 0;
+    for (int imp = 0; imp < lanes.n; ++imp) {
+        if (lanes.at(exp, imp) == 0)
+            continue;
+        const int s = gpu_stage[static_cast<std::size_t>(imp)];
+        Bytes lend = s < 0 ? bounds.idleSpare
+                           : bounds.stageSpare[static_cast<std::size_t>(s)];
+        if (lend <= 0)
+            continue;
+        ws.reach.push_back({imp, lend});
+        spare += lend;
+    }
+    Bytes placed =
+        std::min(bounds.leadOver, std::min(bounds.leadDesire, spare));
+    return drainFloor(lanes, exp, placed, ws.reach);
 }
 
 /** Best candidate of one scan chunk, in chunk-lexicographic order. */
@@ -411,26 +562,32 @@ struct ChunkBest
  *
  * The walk is a branch-and-bound against the chunk's own best score
  * (never another chunk's, so the counts do not depend on scheduling
- * either): a prefix whose scoreCeiling(@p ceiling, broken adjacencies
- * so far) cannot strictly beat it is skipped with its whole subtree.
- * Ties keep the earlier placement, exactly as the full walk would.
+ * either).  A prefix whose scoreCeiling() over the coverage ceiling
+ * and its broken adjacencies so far cannot strictly beat it is skipped
+ * with its whole subtree; so is a leaf whose floor A cannot, before
+ * any spare is assigned.  A leaf whose grantBound() (exact coverage,
+ * floor B) cannot is evaluated but never striped.  Ties keep the
+ * earlier placement, exactly as the full walk would.
  */
 ChunkBest
 scanChunk(const hw::Topology &topo, const LaneMatrix &lanes,
           const std::vector<int> &prefix,
           const std::vector<Bytes> &stage_demand, Bytes capacity,
-          const std::vector<Bytes> &stage_desire, double ceiling)
+          const std::vector<Bytes> &stage_desire,
+          const ScanBounds &bounds)
 {
     const int n = lanes.n;
     const int k = static_cast<int>(stage_demand.size());
     ChunkBest best;
     Scratch ws(n);
     ws.stageToGpu.assign(static_cast<std::size_t>(k), -1);
-    std::vector<char> used(static_cast<std::size_t>(n), 0);
+    // The stage on each GPU, -1 while it is free.
+    std::vector<int> gpu_stage(static_cast<std::size_t>(n), -1);
     int broken = 0;
     for (std::size_t i = 0; i < prefix.size(); ++i) {
         ws.stageToGpu[i] = prefix[i];
-        used[static_cast<std::size_t>(prefix[i])] = 1;
+        gpu_stage[static_cast<std::size_t>(prefix[i])] =
+            static_cast<int>(i);
         if (i > 0 && lanes.at(prefix[i - 1], prefix[i]) == 0)
             ++broken;
     }
@@ -442,17 +599,25 @@ scanChunk(const hw::Topology &topo, const LaneMatrix &lanes,
             subtree[static_cast<std::size_t>(d) + 1] * (n - d);
 
     auto visit = [&](int leaf_broken) {
+        if (best.have && bounds.lead >= 0 &&
+            scoreCeiling(bounds.ceiling,
+                         leadDrainFloor(ws, lanes, bounds, gpu_stage),
+                         leaf_broken) <= best.score) {
+            ++best.pruned;
+            return;
+        }
         assignSpareInto(ws, lanes, ws.stageToGpu, stage_demand,
                         capacity, stage_desire);
-        double coverage = coverageOf(ws, capacity);
+        Evaluation bound = grantBound(ws, lanes, capacity);
         ++best.evaluated;
-        // The exact coverage tightens the bound before any stripe
-        // plan is built.
+        // The grant lists tighten the bound before any stripe plan is
+        // built.
         if (best.have &&
-            scoreCeiling(coverage, leaf_broken) <= best.score)
+            scoreCeiling(bound.coverage, bound.worstDrain, leaf_broken) <=
+                best.score)
             return;
         Evaluation ev = finishEval(topo, lanes, ws, ws.stageToGpu,
-                                   capacity, coverage);
+                                   capacity, bound.coverage);
         double score = scoreOf(ev);
         if (!best.have || score > best.score) {
             best.have = true;
@@ -468,7 +633,8 @@ scanChunk(const hw::Topology &topo, const LaneMatrix &lanes,
     // (n-k)! times and kept the first — same winner, more work).
     auto walk = [&](auto &&self, int depth, int prefix_broken) -> void {
         if (best.have &&
-            scoreCeiling(ceiling, prefix_broken) <= best.score) {
+            scoreCeiling(bounds.ceiling, 0, prefix_broken) <=
+                best.score) {
             best.pruned += subtree[static_cast<std::size_t>(depth)];
             return;
         }
@@ -479,13 +645,14 @@ scanChunk(const hw::Topology &topo, const LaneMatrix &lanes,
         const int prev =
             ws.stageToGpu[static_cast<std::size_t>(depth - 1)];
         for (int g = 0; g < n; ++g) {
-            if (used[static_cast<std::size_t>(g)])
+            auto &slot = gpu_stage[static_cast<std::size_t>(g)];
+            if (slot >= 0)
                 continue;
-            used[static_cast<std::size_t>(g)] = 1;
+            slot = depth;
             ws.stageToGpu[static_cast<std::size_t>(depth)] = g;
             self(self, depth + 1,
                  prefix_broken + (lanes.at(prev, g) == 0 ? 1 : 0));
-            used[static_cast<std::size_t>(g)] = 0;
+            slot = -1;
         }
     };
     walk(walk, static_cast<int>(prefix.size()), broken);
@@ -505,8 +672,9 @@ evaluatePlacement(const hw::Topology &topo,
     Scratch ws(lanes.n);
     assignSpareInto(ws, lanes, stage_to_gpu, stage_demand, capacity,
                     stage_desire);
-    Evaluation ev = finishEval(topo, lanes, ws, stage_to_gpu, capacity,
-                               coverageOf(ws, capacity));
+    Evaluation ev =
+        finishEval(topo, lanes, ws, stage_to_gpu, capacity,
+                   grantBound(ws, lanes, capacity).coverage);
     MappingResult result;
     result.stageToGpu = stage_to_gpu;
     for (int exp = 0; exp < lanes.n; ++exp) {
@@ -610,7 +778,8 @@ searchDeviceMapping(const hw::Topology &topo,
     // placement whether the chunks run serially or on the pool.
     const int n = topo.numGpus();
     const LaneMatrix lanes(topo);
-    const double ceiling = coverageCeiling(stage_demand, n, capacity);
+    const ScanBounds bounds =
+        scanBounds(stage_demand, n, capacity, stage_desire);
     std::vector<std::vector<int>> prefixes;
     if (num_stages >= 2) {
         for (int a = 0; a < n; ++a) {
@@ -628,7 +797,7 @@ searchDeviceMapping(const hw::Topology &topo,
     auto scan_one = [&](std::size_t c) {
         results[c] =
             scanChunk(topo, lanes, prefixes[c], stage_demand, capacity,
-                      stage_desire, ceiling);
+                      stage_desire, bounds);
     };
     if (pool != nullptr && pool->threads() > 1)
         pool->parallelFor(prefixes.size(), scan_one);

@@ -10,7 +10,11 @@
  * better), with full overflow coverage taking precedence and a
  * penalty for separating consecutive pipeline stages from a direct
  * NVLink path.  The placement scan prunes every prefix whose score
- * ceiling cannot beat the best placement found so far.
+ * ceiling cannot beat the best placement found so far.  At each
+ * placement two exact drain floors run ahead of the two halves of its
+ * cost: the lead exporter's floor before any spare is assigned, and
+ * every exporter's floor read off its grants before stripe plans are
+ * built.
  *
  * For symmetric (switch-based) fabrics the search short-circuits:
  * every placement is equivalent, so the identity mapping is used and
@@ -72,14 +76,17 @@ struct MappingResult
     /** Fraction of total overflow the grants can absorb. */
     double coverage = 0.0;
     /** Number of placements evaluated (spare assigned, coverage
-     *  computed): 1 for the identity short-circuit.  The scan visits
+     *  computed), whether or not their stripe plans were then built:
+     *  1 for the identity short-circuit.  The scan visits
      *  k-permutations of the n GPUs, so evaluated + pruned equals
      *  n!/(n-k)! (8! = 40320 on an 8-stage DGX-1); a hierarchical
      *  cluster placement sums its per-node scans. */
     long evaluated = 0;
     /** Number of placements the scan's branch-and-bound skipped
-     *  because no completion of their prefix could beat the chunk's
-     *  best score; 0 for the identity short-circuit. */
+     *  before assigning spare: no completion of their prefix could
+     *  beat the chunk's best score, or, at a full placement, the lead
+     *  exporter's drain floor showed it could not; 0 for the identity
+     *  short-circuit. */
     long pruned = 0;
 };
 

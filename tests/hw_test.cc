@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hh"
@@ -16,6 +18,7 @@
 #include "hw/link.hh"
 #include "hw/topology.hh"
 #include "sim/engine.hh"
+#include "util/random.hh"
 
 namespace hw = mpress::hw;
 namespace mu = mpress::util;
@@ -68,6 +71,48 @@ TEST(Link, SixNvlinksBeatPcieByPaperRatio)
     double p = pcie.effectiveBandwidth(big).gbps();
     EXPECT_GT(nv6 / p, 10.0);
     EXPECT_LT(nv6 / p, 14.0);
+}
+
+TEST(LinkSpec, TransferTimeIsMonotoneInBytes)
+{
+    // The mapper's drain floors assume more bytes never take less
+    // time on one lane, in floating point, not just in real
+    // arithmetic.  Probe every preset around each power of two from
+    // 1 B to 1 TiB, and at seeded random sizes in between.
+    const std::pair<const char *, hw::LinkSpec> presets[] = {
+        {"nvlink1", hw::LinkSpec::nvlink1()},
+        {"nvlink2", hw::LinkSpec::nvlink2()},
+        {"nvlink4", hw::LinkSpec::nvlink4()},
+        {"nvswitch3", hw::LinkSpec::nvswitch3()},
+        {"pcie3x16", hw::LinkSpec::pcie3x16()},
+        {"pcie4x16", hw::LinkSpec::pcie4x16()},
+        {"c2c", hw::LinkSpec::c2c()},
+        {"nvme", hw::LinkSpec::nvme()},
+        {"ib-hdr", hw::LinkSpec::infinibandHdr()},
+        {"ib-ndr", hw::LinkSpec::infinibandNdr()},
+        {"roce100", hw::LinkSpec::roce100()},
+    };
+    std::vector<mu::Bytes> sizes = {0};
+    for (int p = 0; p <= 40; ++p) {
+        const mu::Bytes pow2 = mu::Bytes{1} << p;
+        for (mu::Bytes d = -3; d <= 3; ++d) {
+            if (pow2 + d >= 0)
+                sizes.push_back(pow2 + d);
+        }
+    }
+    mu::SplitMix64 rng(4096);
+    for (int i = 0; i < 20000; ++i) {
+        // Log-uniform: a random bit width, then a size below it.
+        const auto bits = rng.nextBounded(41);
+        sizes.push_back(static_cast<mu::Bytes>(
+            rng.nextBounded(std::uint64_t{1} << bits)));
+    }
+    for (const auto &[name, spec] : presets) {
+        for (mu::Bytes b : sizes) {
+            ASSERT_GE(spec.transferTime(b + 1), spec.transferTime(b))
+                << name << " at " << b << " bytes";
+        }
+    }
 }
 
 TEST(Topology, Dgx1LaneMatrix)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -267,6 +268,115 @@ TEST(Mapper, BranchAndBoundMatchesExhaustiveScan)
             }
         }
     }
+}
+
+TEST(Mapper, DrainFloorsMatchExhaustiveScan)
+{
+    // Where the drain floors' edge cases live: chains of dual-A100
+    // nodes whose PCIe or NVLink 2 chain links override the NVSwitch 3
+    // spec (an exporter's candidate importers differ in spec and
+    // lanes), plus both DGX-1 meshes.  Every other case ties the top
+    // two demands and desires, which must switch floor A off.
+    mu::SplitMix64 rng(20231017);
+    mu::ThreadPool serial(1), pooled(4);
+    const mu::Bytes cap = 28 * mu::kGB;
+    auto draw = [&](double lo, double hi) {
+        return static_cast<mu::Bytes>(
+            static_cast<double>(cap) *
+            (lo + (hi - lo) * rng.nextDouble()));
+    };
+    auto tie_top_two = [](std::vector<mu::Bytes> &v) {
+        auto top = std::max_element(v.begin(), v.end());
+        auto second = v.begin() == top ? v.begin() + 1 : v.begin();
+        for (auto it = v.begin(); it != v.end(); ++it) {
+            if (it != top && *it > *second)
+                second = it;
+        }
+        *second = *top;
+    };
+    auto check = [&](const hw::Topology &topo,
+                     const std::vector<mu::Bytes> &demand,
+                     const std::vector<mu::Bytes> &desire) {
+        long perms = 1;
+        for (std::size_t s = 0; s < demand.size(); ++s)
+            perms *= topo.numGpus() - static_cast<long>(s);
+        auto want = exhaustiveMapping(topo, demand, cap, desire);
+        ASSERT_EQ(want.evaluated, perms);
+        auto one = pn::searchDeviceMapping(topo, demand, cap, {}, desire,
+                                           &serial);
+        auto four = pn::searchDeviceMapping(topo, demand, cap, {},
+                                            desire, &pooled);
+        expectSameMapping(one, want);
+        expectSameMapping(four, want);
+        EXPECT_EQ(one.evaluated + one.pruned, perms);
+        EXPECT_EQ(one.evaluated, four.evaluated);
+        EXPECT_EQ(one.pruned, four.pruned);
+    };
+
+    const hw::Topology topos[] = {
+        hw::Topology::multiNode(hw::Topology::dualA100(), 4, 1,
+                                hw::LinkSpec::pcie4x16()),
+        hw::Topology::multiNode(hw::Topology::dualA100(), 3, 2,
+                                hw::LinkSpec::nvlink2()),
+        hw::Topology::dgx1V100(), hw::Topology::dgx1P100()};
+    for (const auto &topo : topos) {
+        for (int k = 2; k <= topo.numGpus(); ++k) {
+            for (bool with_desire : {false, true}) {
+                const bool tied = (k + (with_desire ? 1 : 0)) % 2 == 0;
+                std::vector<mu::Bytes> demand, desire;
+                for (int s = 0; s < k; ++s) {
+                    demand.push_back(rng.nextDouble() < 0.5
+                                         ? draw(1.05, 1.6)
+                                         : draw(0.1, 0.95));
+                    if (with_desire)
+                        desire.push_back(draw(0.0, 0.3));
+                }
+                if (tied) {
+                    tie_top_two(demand);
+                    if (with_desire)
+                        tie_top_two(desire);
+                }
+                SCOPED_TRACE(testing::Message()
+                             << topo.name() << " k=" << k
+                             << " desire=" << with_desire
+                             << " tied=" << tied);
+                check(topo, demand, desire);
+            }
+        }
+    }
+
+    // A pinned tie with little spare: stages 4 and 7 share the top
+    // demand and desire.  Were floor A left on, it would reject the
+    // first of several equal-score placements, and the scan would
+    // return a later one.
+    SCOPED_TRACE("pinned tie");
+    check(hw::Topology::dgx1V100(),
+          {31850347360, 36736483950, 34643433950, 41906486721,
+           44046749475, 22504300725, 35236412651, 44046749475},
+          {628144659, 4131820810, 249289931, 5251555376, 7815835504,
+           1316164067, 2030227633, 7815835504});
+}
+
+TEST(Mapper, BertProfilePeaksPruneBeforeSpareAssignment)
+{
+    // bert-1.67b on PipeDream/DGX-1 as Fig. 7 runs it (microbatch 12,
+    // one microbatch per minibatch, 24 minibatches).  Its best
+    // placements all tie at the coverage ceiling and differ only in
+    // drain time, so only the drain floors can prune; the lead
+    // exporter's floor rejects most leaves before any spare is
+    // assigned.
+    auto topo = hw::Topology::dgx1V100();
+    mm::TransformerModel mdl(mm::presetByName("bert-1.67b"), 12);
+    auto part = mp::partitionModel(mdl, 8, mp::Strategy::ComputeBalanced);
+    auto sched = pl::buildSchedule(pl::SystemKind::PipeDream, 8, 1, 24);
+    auto profile = pn::profileJob(topo, mdl, part, sched);
+    auto want = exhaustiveMapping(topo, profile.stagePeak,
+                                  profile.usableCapacity, {});
+    auto got = pn::searchDeviceMapping(topo, profile.stagePeak,
+                                       profile.usableCapacity);
+    expectSameMapping(got, want);
+    EXPECT_EQ(got.evaluated + got.pruned, 40320);
+    EXPECT_GT(got.pruned, 20000);
 }
 
 TEST(Mapper, RemapScanStopsAtFirstPerfectPlacement)

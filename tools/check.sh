@@ -301,7 +301,9 @@ if [ "$run_perf" = 1 ]; then
     # exact on any host, so it gets an exact gate: more events than
     # committed means per-lane transfer events came back.  The node
     # ring's window count is exact too, and windows decide where a
-    # multi-node stop lands, so it must equal the committed count.  After
+    # multi-node stop lands, so it must equal the committed count.  The
+    # mapping scan's placement count is exact as well: more placements
+    # evaluated than committed means a bound of the scan got weaker.  After
     # deliberate engine changes, refresh the committed BENCH_sim.json
     # from the repo root with the full, unfiltered bench:
     #   MPRESS_BENCH_DIR=. MPRESS_GIT_REV=$(git rev-parse --short HEAD) \
@@ -315,7 +317,7 @@ if [ "$run_perf" = 1 ]; then
     MPRESS_GIT_REV=$(git rev-parse --short HEAD 2>/dev/null || echo unknown) \
     MPRESS_BENCH_DATE=$(date -u +%Y-%m-%d) \
         ./build-perf/bench/bench_sim_micro \
-        --benchmark_filter='BM_EventQueue|BM_EventChainSteady|BM_FullIterationSwitchFabric|BM_NodeWindows' \
+        --benchmark_filter='BM_EventQueue|BM_EventChainSteady|BM_FullIterationSwitchFabric|BM_NodeWindows|BM_MappingSearch' \
         --benchmark_min_time=0.5 >/dev/null
     python3 - "$perf/BENCH_sim.json" BENCH_sim.json <<'EOF'
 import json, sys
@@ -349,10 +351,17 @@ for name in ("BM_NodeWindows/2", "BM_NodeWindows/8"):
     print("%-28s %8d windows/run vs baseline %8d %s"
           % (name, got, want, status))
     failed = failed or got != want
+name = "BM_MappingSearch"
+want = base[name]["placements_evaluated"]
+got = fresh[name]["placements_evaluated"]
+status = "ok" if got <= want else "REGRESSED"
+print("%-28s %8d placements vs baseline %8d %s"
+      % (name, got, want, status))
+failed = failed or got > want
 if failed:
-    sys.exit("perf smoke failed: event queue slower, more events or "
-             "other windows than baseline - investigate before "
-             "updating BENCH_sim.json")
+    sys.exit("perf smoke failed: event queue slower, more events, "
+             "other windows or more placements than baseline - "
+             "investigate before updating BENCH_sim.json")
 EOF
 
     echo "== planner search smoke (Release + IPO) =="
