@@ -3,7 +3,8 @@
  * Figure 1 reproduction: the training workflow and per-device memory
  * evolution of inter-operator training — 3 workers, minibatches of 6
  * microbatches, PipeDream (asynchronous) vs DAPPLE (synchronous) —
- * rendered as ASCII memory curves from the executor's timeline.
+ * rendered as ASCII memory curves from the executor's memory event
+ * log.
  *
  * The paper's claims to check: memory rises during the forward
  * build-up and falls as backwards complete; Worker 1 accumulates more
@@ -39,14 +40,23 @@ curves(pl::SystemKind system)
     cfg.microbatchesPerMinibatch = 6;
     cfg.minibatches = 2;
     cfg.strategy = api::Strategy::None;
-    cfg.executor.recordTimeline = true;
+    cfg.executor.record = true;
     auto result = api::runSession(hw::Topology::dgx1V100(), cfg);
 
-    const auto &samples = result.report.memTimeline;
-    mu::Tick span = result.report.makespan;
+    // Usage after every allocation change, per GPU: a running sum of
+    // the memory event log.  MemoryTimeline::curve() would collapse
+    // same-tick changes and hide the spikes between them.
+    std::vector<mu::Bytes> used(result.report.gpus.size(), 0);
+    std::vector<std::vector<std::pair<mu::Tick, mu::Bytes>>> steps(
+        used.size());
     mu::Bytes top = 1;
-    for (const auto &s : samples)
-        top = std::max(top, s.used);
+    for (const auto &e : result.report.observability.memory.events()) {
+        auto g = static_cast<std::size_t>(e.gpu);
+        used[g] += e.delta;
+        steps[g].emplace_back(e.time, used[g]);
+        top = std::max(top, used[g]);
+    }
+    mu::Tick span = result.report.makespan;
 
     std::printf("--- %s: per-worker memory over time (peak = %s)"
                 " ---\n",
@@ -58,11 +68,7 @@ curves(pl::SystemKind system)
         std::vector<mu::Bytes> level(kColumns, 0);
         mu::Bytes current = 0;
         std::size_t idx = 0;
-        std::vector<std::pair<mu::Tick, mu::Bytes>> events;
-        for (const auto &s : samples) {
-            if (s.gpu == w)
-                events.emplace_back(s.time, s.used);
-        }
+        const auto &events = steps[static_cast<std::size_t>(w)];
         for (int col = 0; col < kColumns; ++col) {
             mu::Tick until = span * (col + 1) / kColumns;
             mu::Bytes peak_in_bucket = current;

@@ -293,8 +293,7 @@ BM_FullIterationObserved(benchmark::State &state)
                                    mp::Strategy::ComputeBalanced);
     auto sched = pl::buildPipeDream(8, 4, 2);
     rt::ExecutorConfig ec;
-    ec.recordMetrics = true;
-    ec.recordTimeline = true;
+    ec.record = true;
     for (auto _ : state) {
         auto report = rt::runTraining(topo, mdl, part, sched, {}, ec);
         benchmark::DoNotOptimize(

@@ -50,11 +50,14 @@
  *                             loaded plans are statically verified
  *                             and rejected on errors (strict also
  *                             rejects on warnings)
- *     --timeline <file>       write a chrome-trace JSON (includes
- *                             counter tracks when --metrics is on)
+ *     --timeline <file>       write a chrome-trace JSON (spans plus
+ *                             memory and metric counter tracks)
  *     --metrics <file>        write the observability bundle as JSON
  *                             (metrics, per-GPU memory timelines,
  *                             per-stream utilization)
+ *                             Either flag records the whole run; the
+ *                             planner strategies plan unrecorded,
+ *                             then replay the finished plan once.
  *     --faults <spec.json>    inject a fault scenario into the run
  *                             (see below); the scenario is statically
  *                             verified against the topology first and
@@ -553,8 +556,7 @@ main(int argc, char **argv)
     cfg.planner.deadlineMs = deadline_ms;
     if (deadline_ms < 0)
         usage("--deadline-ms must be >= 0");
-    cfg.executor.recordTimeline = !timeline.empty();
-    cfg.executor.recordMetrics = !metrics.empty();
+    cfg.executor.record = !timeline.empty() || !metrics.empty();
     cfg.executor.faultLadder = fault_ladder;
 
     // The scenario must outlive every executor that reads it

@@ -1,11 +1,10 @@
 /**
  * @file
- * Trace export: run a compacted training window with timeline and
- * metrics recording, then write a Chrome-trace JSON (load it in
- * chrome://tracing or ui.perfetto.dev) showing forward/backward/
- * recompute spans per GPU with memory/metric counter tracks, plus
- * the observability bundle as JSON and the per-GPU memory curves as
- * CSV.
+ * Trace export: run a compacted training window with recording on,
+ * then write a Chrome-trace JSON (load it in chrome://tracing or
+ * ui.perfetto.dev) showing forward/backward/recompute spans per GPU
+ * with memory/metric counter tracks, plus the observability bundle
+ * as JSON and the per-GPU memory curves as CSV.
  *
  * Run: ./build/examples/trace_export [output.json]
  */
@@ -35,8 +34,7 @@ main(int argc, char **argv)
     cfg.microbatchesPerMinibatch = 1;
     cfg.minibatches = 8;
     cfg.strategy = api::Strategy::MPressFull;
-    cfg.executor.recordTimeline = true;
-    cfg.executor.recordMetrics = true;
+    cfg.executor.record = true;
 
     auto result = api::runSession(hw::Topology::dgx1V100(), cfg);
     if (result.oom) {

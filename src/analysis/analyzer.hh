@@ -4,7 +4,7 @@
  * `(Model, Partition, Topology, Schedule, CompactionPlan)` tuples
  * that derives *sound* bounds without executing the plan.
  *
- * Where `verify::` checks structural rules and `runtime::Executor`
+ * Where `verify::` checks structural rules and `runtime::runTraining`
  * measures one exact trajectory, the analyzer walks the plan IR with
  * an interval abstract domain and proves three properties in
  * microseconds:

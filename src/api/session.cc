@@ -189,11 +189,11 @@ MPressSession::run() const
     switch (_cfg.strategy) {
       case Strategy::D2dOnly:
       case Strategy::MPressFull:
-        if (_cfg.executor.faults != nullptr) {
-            // Planning always emulates fault-free (SearchDriver
-            // strips ExecutorConfig::faults), so the planner's final
-            // report never saw the scenario.  Replay the finished
-            // plan under injection to get the degraded report.
+        if (_cfg.executor.faults != nullptr || _cfg.executor.record) {
+            // Planning always emulates fault-free and unrecorded, so
+            // the planner's final report never saw the scenario and
+            // holds no trace.  Replay the finished plan once to get
+            // the degraded or recorded report.
             result.report = runtime::runTraining(_topo, _mdl, _part,
                                                  _sched, result.plan,
                                                  _cfg.executor);

@@ -93,9 +93,10 @@ struct SessionConfig
         partition::Strategy::ComputeBalanced;
     Strategy strategy = Strategy::None;
 
-    /** Executor tunables.  When executor.faults names a scenario, the
-     *  planner strategies still plan fault-free and the finished plan
-     *  is replayed under injection for the reported run. */
+    /** Executor tunables.  The planner strategies always plan
+     *  fault-free and unrecorded; when executor.faults names a
+     *  scenario or executor.record is set, the finished plan is
+     *  replayed once with these tunables for the reported run. */
     runtime::ExecutorConfig executor;
 
     /** Planner tunables, forwarded verbatim to planMPress /

@@ -158,8 +158,6 @@ exportUtilizationCsv(std::ostream &os, const Observability &o)
 void
 mergeCounterEvents(const Observability &o, sim::TraceRecorder &trace)
 {
-    if (!o.enabled || !trace.enabled())
-        return;
     for (int gpu : o.memory.gpus()) {
         std::string name = util::strformat("gpu%d mem (GB)", gpu);
         for (const auto &p : o.memory.curve(gpu))

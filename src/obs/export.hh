@@ -42,7 +42,7 @@ void exportUtilizationCsv(std::ostream &os, const Observability &o);
 /**
  * Append Chrome-trace counter events ("ph":"C") to @p trace: one
  * per-GPU memory series (decimal GB, on the GPU's lane) and one
- * series per registry metric.  No-op when either side is disabled.
+ * series per registry metric.
  */
 void mergeCounterEvents(const Observability &o,
                         sim::TraceRecorder &trace);

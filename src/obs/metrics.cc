@@ -20,8 +20,6 @@ metricKindName(MetricKind k)
 MetricsRegistry::Id
 MetricsRegistry::intern(const std::string &name, MetricKind kind)
 {
-    if (!_enabled)
-        return kInvalid;
     auto it = _byName.find(name);
     if (it != _byName.end()) {
         if (_series[static_cast<std::size_t>(it->second)].kind !=
@@ -82,8 +80,6 @@ void
 MetricsRegistry::absorb(const MetricsRegistry &src,
                         const std::string &prefix)
 {
-    if (!_enabled)
-        return;
     for (const MetricSeries &s : src.series()) {
         Id id = intern(prefix + s.name, s.kind);
         auto &d = _series[static_cast<std::size_t>(id)];

@@ -6,9 +6,10 @@
  * The runtime increments counters (monotonic totals: bytes swapped,
  * stall counts) and sets gauges (instantaneous levels: host-pool
  * usage) as the simulation executes; every mutation appends a
- * timestamped sample, so each metric doubles as a time series.  A
- * disabled registry rejects registration and ignores mutations, so
- * instrumented code pays one integer compare on the hot path.
+ * timestamped sample, so each metric doubles as a time series.
+ * Mutations through kInvalid are no-ops, so instrumented code whose
+ * metrics were never registered (an unrecorded run) pays one integer
+ * compare on the hot path.
  */
 
 #ifndef MPRESS_OBS_METRICS_HH
@@ -62,21 +63,14 @@ class MetricsRegistry
     using Id = int;
     static constexpr Id kInvalid = -1;
 
-    explicit MetricsRegistry(bool enabled = false)
-        : _enabled(enabled)
-    {}
-
-    bool enabled() const { return _enabled; }
-
-    /** Register (or look up) a counter named @p name.  Returns
-     *  kInvalid when the registry is disabled. */
+    /** Register (or look up) a counter named @p name. */
     Id counter(const std::string &name);
 
     /** Register (or look up) a gauge named @p name. */
     Id gauge(const std::string &name);
 
     /** Add @p delta to a counter at simulated time @p now.  No-op on
-     *  kInvalid, so call sites need no enabled checks. */
+     *  kInvalid, so call sites need no recording checks. */
     void add(Id id, Tick now, double delta);
 
     /** Set a gauge to @p value at simulated time @p now. */
@@ -105,7 +99,6 @@ class MetricsRegistry
   private:
     Id intern(const std::string &name, MetricKind kind);
 
-    bool _enabled;
     std::vector<MetricSeries> _series;
     std::map<std::string, Id> _byName;
 };

@@ -5,8 +5,9 @@
  * intervals, plus the makespan they are normalized against.
  *
  * The executor owns the live bundle during a run (hooks on trackers
- * and streams feed it) and moves it into TrainingReport afterwards;
- * everything inside is copyable plain data.
+ * and streams feed it, only when ExecutorConfig::record is set) and
+ * moves it into TrainingReport afterwards; everything inside is
+ * copyable plain data.
  */
 
 #ifndef MPRESS_OBS_OBSERVABILITY_HH
@@ -22,7 +23,6 @@ namespace obs {
 /** Everything the observability layer recorded for one run. */
 struct Observability
 {
-    bool enabled = false;
     Tick makespan = 0;
 
     MetricsRegistry metrics;

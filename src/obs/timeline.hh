@@ -44,18 +44,10 @@ struct MemoryPoint
 class MemoryTimeline
 {
   public:
-    explicit MemoryTimeline(bool enabled = false)
-        : _enabled(enabled)
-    {}
-
-    bool enabled() const { return _enabled; }
-
-    /** Append one event (no-op when disabled). */
+    /** Append one event. */
     void
     record(Tick time, int gpu, TensorKind kind, Bytes delta)
     {
-        if (!_enabled)
-            return;
         _events.push_back({time, gpu, kind, delta});
     }
 
@@ -82,7 +74,6 @@ class MemoryTimeline
     Bytes finalUsed(int gpu) const;
 
   private:
-    bool _enabled;
     std::vector<MemoryEvent> _events;
 };
 

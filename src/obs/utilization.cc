@@ -33,8 +33,6 @@ int
 UtilizationRecorder::addChannel(Resource res, int gpu,
                                 std::string name)
 {
-    if (!_enabled)
-        return kInvalid;
     int id = static_cast<int>(_channels.size());
     _channels.push_back({res, gpu, std::move(name), 0, {}});
     return id;
@@ -43,8 +41,6 @@ UtilizationRecorder::addChannel(Resource res, int gpu,
 void
 UtilizationRecorder::recordBusy(int channel, Tick start, Tick end)
 {
-    if (channel == kInvalid)
-        return;
     auto &ch = _channels[static_cast<std::size_t>(channel)];
     ch.busy += end - start;
     if (end > start)
@@ -55,8 +51,6 @@ void
 UtilizationRecorder::attach(sim::Stream &stream, Resource res,
                             int gpu)
 {
-    if (!_enabled)
-        return;
     int id = addChannel(res, gpu, std::string(stream.name()));
     stream.setTaskHook([this, id](Tick start, Tick end) {
         recordBusy(id, start, end);

@@ -67,19 +67,11 @@ struct Channel
 class UtilizationRecorder
 {
   public:
-    explicit UtilizationRecorder(bool enabled = false)
-        : _enabled(enabled)
-    {}
-
-    bool enabled() const { return _enabled; }
-
-    /** Register a channel; returns its id (kInvalid when disabled). */
+    /** Register a channel; returns its id. */
     int addChannel(Resource res, int gpu, std::string name);
 
-    static constexpr int kInvalid = -1;
-
-    /** Append a busy interval to @p channel (no-op on kInvalid;
-     *  zero-length intervals are dropped). */
+    /** Append a busy interval to @p channel (zero-length intervals
+     *  are dropped). */
     void recordBusy(int channel, Tick start, Tick end);
 
     /**
@@ -98,7 +90,6 @@ class UtilizationRecorder
     Tick busyTime(Resource res, int gpu) const;
 
   private:
-    bool _enabled;
     std::vector<Channel> _channels;
 };
 

@@ -21,6 +21,7 @@ profileJob(const hw::Topology &topo,
            runtime::ExecutorConfig exec_cfg)
 {
     exec_cfg.recordLiveness = true;
+    exec_cfg.record = false;
     exec_cfg.failFastOnOom = false;  // measure true demand
     ProfileResult out;
     out.report = runtime::runTraining(topo, mdl, part, sched, {},
@@ -112,6 +113,7 @@ emulate(const hw::Topology &topo, const model::TransformerModel &mdl,
         runtime::ExecutorConfig exec_cfg)
 {
     exec_cfg.recordLiveness = false;
+    exec_cfg.record = false;
     exec_cfg.failFastOnOom = true;
     return runtime::runTraining(topo, mdl, part, sched, plan,
                                 exec_cfg);

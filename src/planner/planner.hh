@@ -130,7 +130,9 @@ struct ProfileResult
                                       ///< workspace reserve
 };
 
-/** Run one uncompacted, OOM-tolerant iteration and collect stats. */
+/** Run one uncompacted, OOM-tolerant iteration and collect stats.
+ *  The run records liveness but never a trace (exec_cfg.record is
+ *  ignored). */
 ProfileResult profileJob(const hw::Topology &topo,
                          const model::TransformerModel &mdl,
                          const partition::Partition &part,
@@ -141,6 +143,8 @@ ProfileResult profileJob(const hw::Topology &topo,
 struct PlanResult
 {
     compaction::CompactionPlan plan;
+    /** The report of the plan's emulated run; never recorded
+     *  (planning ignores ExecutorConfig::record). */
     runtime::TrainingReport finalReport;
     MappingResult mapping;
     int iterations = 0;

@@ -209,9 +209,8 @@ SearchDriver::trialKeyBinary(const compaction::CompactionPlan &plan,
     putScalar<double>(key, cfg.memOverheadFactor);
     putScalar<std::int32_t>(key, cfg.swapInLookahead);
     key.push_back(static_cast<char>(
-        (cfg.recordLiveness ? 1 : 0) | (cfg.recordTimeline ? 2 : 0) |
-        (cfg.recordMetrics ? 4 : 0) | (cfg.failFastOnOom ? 8 : 0) |
-        (cfg.faultLadder ? 16 : 0)));
+        (cfg.recordLiveness ? 1 : 0) | (cfg.record ? 2 : 0) |
+        (cfg.failFastOnOom ? 8 : 0) | (cfg.faultLadder ? 16 : 0)));
     putScalar<std::int32_t>(key, cfg.maxTransferRetries);
     putScalar<std::int64_t>(
         key, static_cast<std::int64_t>(cfg.retryBackoff));
@@ -233,10 +232,12 @@ SearchDriver::SearchDriver(const hw::Topology &topo,
       _workerArenas(static_cast<std::size_t>(pool.threads())),
       _jobKey(jobKeyFor(topo, mdl, part, sched))
 {
-    // Every trial is a scoring run, never a profiling run, and plan
-    // selection must not depend on injected faults — robustness is
-    // evaluated separately, on the finished plan.
+    // Every trial is a scoring run, never a profiling or recorded
+    // run, and plan selection must not depend on injected faults —
+    // robustness is evaluated separately, on the finished plan, and
+    // the session replays that plan when the caller records.
     _execCfg.recordLiveness = false;
+    _execCfg.record = false;
     _execCfg.failFastOnOom = true;
     _execCfg.faults = nullptr;
     // The arena pointer is per-worker state, never part of the

@@ -9,7 +9,7 @@
  * (topology, job, candidate plan) — so SearchDriver evaluates them
  * concurrently on a util::ThreadPool.  Each pool worker owns a lazily
  * built hw::Topology copy (reused across all its trials) and every
- * trial constructs its own runtime::Executor, so no simulator state
+ * trial is its own runtime::runTraining() call, so no simulator state
  * is ever shared between threads.
  *
  * Because trials are pure, their reports memoize: the driver keeps a
@@ -35,8 +35,10 @@
  * matrix of fault scenarios (one emulator run per scenario, fanned
  * out on the same pool) and reduces the degraded throughputs to
  * deterministic nearest-rank percentiles.  Planning trials themselves
- * always run fault-free — the ctor strips ExecutorConfig::faults — so
- * fault injection never perturbs plan selection.
+ * always run fault-free and unrecorded — the ctor strips
+ * ExecutorConfig::faults and ExecutorConfig::record — so fault
+ * injection never perturbs plan selection and no trial pays for a
+ * trace.
  *
  * The grant-budget helpers live here too so the refinement gate and
  * its ledger arithmetic are unit-testable: admitFlipBatch() gates and

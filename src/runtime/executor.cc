@@ -36,9 +36,9 @@ enum class InState
 /** Consecutive over-water runs before an arena releases slabs. */
 constexpr int kShrinkAfter = 8;
 
-} // namespace
-
-struct Executor::Impl
+/** The state of one training run: built by runTraining(), run once,
+ *  and moved out as the report. */
+struct TrainingRun
 {
     const hw::Topology &topo;
     const model::TransformerModel &mdl;
@@ -139,10 +139,8 @@ struct Executor::Impl
         int oomGpu = -1;
         Tick oomTime = 0;
 
-        std::vector<MemorySample> memTimeline;
         sim::TraceRecorder trace;
         obs::Observability obsData;
-        memory::LivenessTable liveness;
 
         /** Completion time of each minibatch's last local OptimStep
          *  and the count of local stages still pending per minibatch
@@ -251,9 +249,16 @@ struct Executor::Impl
         return false;
     }
 
-    Impl(const hw::Topology &t, const model::TransformerModel &m,
-         const partition::Partition &p, const pipeline::Schedule &s,
-         const compaction::CompactionPlan &pl, ExecutorConfig c)
+    // Scheduled events, tracker observers and stream hooks hold
+    // `this`, so a run never moves.
+    TrainingRun(const TrainingRun &) = delete;
+    TrainingRun &operator=(const TrainingRun &) = delete;
+
+    TrainingRun(const hw::Topology &t,
+                const model::TransformerModel &m,
+                const partition::Partition &p,
+                const pipeline::Schedule &s,
+                const compaction::CompactionPlan &pl, ExecutorConfig c)
         : topo(t), mdl(m), part(p), sched(s), plan(pl), cfg(c)
     {
         if (part.numStages() != sched.numStages)
@@ -329,7 +334,6 @@ struct Executor::Impl
                 (n == 0 ? nvme_total -
                               nvme_share * static_cast<Bytes>(numNodes)
                         : 0);
-            ns.trace.setEnabled(c.recordTimeline);
             ns.lastOptim.assign(
                 static_cast<std::size_t>(sched.numMinibatches), 0);
             ns.optRemaining.assign(
@@ -371,7 +375,6 @@ struct Executor::Impl
         cursor.assign(static_cast<std::size_t>(sched.numStages), 0);
         stageBusy.assign(static_cast<std::size_t>(sched.numStages), 0);
 
-        report.trace.setEnabled(c.recordTimeline);
         report.jobName = util::strformat(
             "%s/%s/%s", mdl.config().name.c_str(), sched.name.c_str(),
             topo.name().c_str());
@@ -380,7 +383,7 @@ struct Executor::Impl
         for (int st = 0; st < sched.numStages; ++st)
             report.overheads[static_cast<std::size_t>(st)].stage = st;
 
-        if (cfg.recordMetrics)
+        if (cfg.record)
             setupObservability();
         if (cfg.faults)
             setupFaults();
@@ -462,7 +465,7 @@ struct Executor::Impl
         report.faults.scheduledHostPressure =
             sc.countOf(fault::EventKind::HostPressure);
 
-        if (cfg.recordMetrics) {
+        if (cfg.record) {
             for (auto &ns : nodes) {
                 mFaultFail = ns.obsData.metrics.counter(
                     "fault.transfer.failures");
@@ -563,7 +566,7 @@ struct Executor::Impl
     void
     traceInstant(NodeState &ns, std::string name, int lane)
     {
-        if (!cfg.recordTimeline)
+        if (!cfg.record)
             return;
         ns.trace.recordInstant(std::move(name), "fault",
                                lane < 0 ? 0 : lane,
@@ -585,20 +588,15 @@ struct Executor::Impl
         return static_cast<Tick>(static_cast<double>(dur) * stretch);
     }
 
-    /** Enable every node's bundle and hook every tracker and stream.
-     *  With recordMetrics off none of this runs, the metric ids stay
-     *  kInvalid, and the instrumented call sites below are no-ops.
-     *  Every node registers the same metrics in the same order, so
-     *  one set of ids addresses all per-node registries. */
+    /** Register every node's metrics and hook every tracker and
+     *  stream.  With ExecutorConfig::record off none of this runs, the
+     *  metric ids stay kInvalid, and the instrumented call sites below
+     *  are no-ops.  Every node registers the same metrics in the same
+     *  order, so one set of ids addresses all per-node registries. */
     void
     setupObservability()
     {
         for (auto &ns : nodes) {
-            ns.obsData.enabled = true;
-            ns.obsData.metrics = obs::MetricsRegistry(true);
-            ns.obsData.memory = obs::MemoryTimeline(true);
-            ns.obsData.utilization = obs::UtilizationRecorder(true);
-
             mSwapOut = ns.obsData.metrics.counter("swap.out.bytes");
             mSwapIn = ns.obsData.metrics.counter("swap.in.bytes");
             mD2dOut = ns.obsData.metrics.counter("d2d.out.bytes");
@@ -664,24 +662,13 @@ struct Executor::Impl
         return obs::Resource::Compute;
     }
 
-    // ---- timeline -------------------------------------------------
-
-    void
-    sampleMem(int gpu)
-    {
-        if (!cfg.recordTimeline)
-            return;
-        NodeState &ns = nsOf(gpu);
-        ns.memTimeline.push_back(
-            {engine->now(), gpu,
-             gpuMem[static_cast<std::size_t>(gpu)]->used()});
-    }
+    // ---- trace ----------------------------------------------------
 
     void
     traceSpan(const char *kind, int stage, int mb, int gpu,
               Tick start, Tick end)
     {
-        if (!cfg.recordTimeline)
+        if (!cfg.record)
             return;
         nsOf(gpu).trace.record(
             util::strformat("%s s%d mb%d", kind, stage, mb),
@@ -695,7 +682,6 @@ struct Executor::Impl
     {
         bool ok = gpuMem[static_cast<std::size_t>(gpu)]->alloc(kind,
                                                                bytes);
-        sampleMem(gpu);
         NodeState &ns = nsOf(gpu);
         if (!ok && cfg.failFastOnOom && !ns.oom) {
             ns.oom = true;
@@ -711,7 +697,6 @@ struct Executor::Impl
     gpuFree(int gpu, TensorKind kind, Bytes bytes)
     {
         gpuMem[static_cast<std::size_t>(gpu)]->free(kind, bytes);
-        sampleMem(gpu);
         drainAllocQueue(gpu);
     }
 
@@ -753,7 +738,6 @@ struct Executor::Impl
         }
         if (allocQueue[g].empty() && mem.available() >= bytes) {
             mem.alloc(kind, bytes);
-            sampleMem(gpu);
             fn();
             return;
         }
@@ -772,7 +756,6 @@ struct Executor::Impl
             PendingAlloc req = std::move(allocQueue[g].front());
             allocQueue[g].pop_front();
             mem.alloc(req.kind, req.bytes);
-            sampleMem(gpu);
             req.fn();
         }
     }
@@ -1691,9 +1674,9 @@ struct Executor::Impl
         Kind kind = in.kindOverride.value_or(layerKind[pos]);
 
         if (cfg.recordLiveness && in.genTime >= 0) {
-            ns.liveness.record(key.ref, layer->activationStash,
-                               t.microbatch, in.genTime,
-                               engine->now());
+            report.liveness.record(key.ref, layer->activationStash,
+                                   t.microbatch, in.genTime,
+                                   engine->now());
         }
 
         auto submit_bwd = [this, &chain, gpu, layer]() {
@@ -1894,14 +1877,11 @@ struct Executor::Impl
 
         report.makespan = engine->now();
 
-        if (cfg.recordMetrics) {
+        if (cfg.record) {
             for (auto &ns : nodes) {
                 ns.obsData.makespan = report.makespan;
                 obs::mergeCounterEvents(ns.obsData, ns.trace);
             }
-        }
-
-        if (cfg.recordTimeline) {
             if (numNodes == 1) {
                 report.trace = std::move(nodes[0].trace);
             } else {
@@ -1924,15 +1904,6 @@ struct Executor::Impl
             for (int g = 0; g < topo.numGpus(); ++g) {
                 report.trace.nameLane(
                     g, util::strformat("gpu%d", g));
-            }
-            if (numNodes == 1) {
-                report.memTimeline = std::move(nodes[0].memTimeline);
-            } else {
-                for (auto &ns : nodes) {
-                    report.memTimeline.insert(
-                        report.memTimeline.end(),
-                        ns.memTimeline.begin(), ns.memTimeline.end());
-                }
             }
         }
 
@@ -1966,16 +1937,12 @@ struct Executor::Impl
         report.pcieBusyTime = fabric->pcieBusyTime();
         report.nicBusyTime = fabric->nicBusyTime();
 
-        if (cfg.recordMetrics) {
+        if (cfg.record) {
             if (numNodes == 1) {
                 report.observability = std::move(nodes[0].obsData);
             } else {
                 obs::Observability merged;
-                merged.enabled = true;
                 merged.makespan = report.makespan;
-                merged.metrics = obs::MetricsRegistry(true);
-                merged.memory = obs::MemoryTimeline(true);
-                merged.utilization = obs::UtilizationRecorder(true);
                 for (auto &ns : nodes) {
                     merged.metrics.absorb(
                         ns.obsData.metrics,
@@ -1995,22 +1962,6 @@ struct Executor::Impl
                     }
                 }
                 report.observability = std::move(merged);
-            }
-        }
-
-        if (cfg.recordLiveness) {
-            if (numNodes == 1) {
-                report.liveness = std::move(nodes[0].liveness);
-            } else {
-                for (auto &ns : nodes) {
-                    for (const auto *li : ns.liveness.all()) {
-                        for (const auto &w : li->windows)
-                            report.liveness.record(li->ref, li->size,
-                                                   w.microbatch,
-                                                   w.generated,
-                                                   w.nextUse);
-                    }
-                }
             }
         }
 
@@ -2129,23 +2080,7 @@ struct Executor::Impl
     }
 };
 
-Executor::Executor(const hw::Topology &topo,
-                   const model::TransformerModel &mdl,
-                   const partition::Partition &part,
-                   const pipeline::Schedule &sched,
-                   const compaction::CompactionPlan &plan,
-                   ExecutorConfig config)
-    : _impl(std::make_unique<Impl>(topo, mdl, part, sched, plan,
-                                   config))
-{}
-
-Executor::~Executor() = default;
-
-TrainingReport
-Executor::run()
-{
-    return _impl->run();
-}
+} // namespace
 
 TrainingReport
 runTraining(const hw::Topology &topo,
@@ -2155,8 +2090,7 @@ runTraining(const hw::Topology &topo,
             const compaction::CompactionPlan &plan,
             ExecutorConfig config)
 {
-    Executor exec(topo, mdl, part, sched, plan, config);
-    return exec.run();
+    return TrainingRun(topo, mdl, part, sched, plan, config).run();
 }
 
 Bytes

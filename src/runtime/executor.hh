@@ -80,18 +80,18 @@ struct ExecutorConfig
     /** Maximum swap-ins kept in flight ahead of the backward pass. */
     int swapInLookahead = 4;
 
-    /** Record per-tensor live intervals (profiling runs). */
+    /** Record per-tensor live intervals (profiling runs).  Separate
+     *  from @ref record: every plan's profile run needs liveness and
+     *  must not pay for a trace. */
     bool recordLiveness = false;
 
-    /** Record the per-GPU memory timeline and an execution trace
-     *  (Fig. 1 curves / chrome-trace export). */
-    bool recordTimeline = false;
-
-    /** Record the observability bundle: metrics registry samples,
-     *  per-GPU memory timelines and per-stream utilization intervals
-     *  (TrainingReport::observability).  Off by default; when off no
-     *  hooks are installed and the run costs nothing extra. */
-    bool recordMetrics = false;
+    /** Record the run: the execution trace (TrainingReport::trace,
+     *  spans plus memory and metric counter tracks) and the
+     *  observability bundle (TrainingReport::observability: metric
+     *  series, per-GPU memory event logs — the Fig. 1 curves — and
+     *  per-stream utilization).  Off by default; when off no hooks
+     *  are installed and the run records nothing. */
+    bool record = false;
 
     /** Stop the simulation at the first OOM (matches real runs); when
      *  false, keep accounting to observe the overshoot. */
@@ -128,40 +128,15 @@ struct ExecutorConfig
 };
 
 /**
- * One-shot executor: construct, run(), read the report.
+ * Replay one training window and return its report.
+ *
+ * @param topo     the server
+ * @param mdl      instantiated model (layers with costs)
+ * @param part     stage partition (stages == schedule stages)
+ * @param sched    pipeline schedule to replay
+ * @param plan     memory-compaction plan (may be empty)
+ * @param config   tunables
  */
-class Executor
-{
-  public:
-    /**
-     * @param topo     the server
-     * @param mdl      instantiated model (layers with costs)
-     * @param part     stage partition (stages == schedule stages)
-     * @param sched    pipeline schedule to replay
-     * @param plan     memory-compaction plan (may be empty)
-     * @param config   tunables
-     */
-    Executor(const hw::Topology &topo,
-             const model::TransformerModel &mdl,
-             const partition::Partition &part,
-             const pipeline::Schedule &sched,
-             const compaction::CompactionPlan &plan,
-             ExecutorConfig config = {});
-
-    ~Executor();
-
-    Executor(const Executor &) = delete;
-    Executor &operator=(const Executor &) = delete;
-
-    /** Run the whole window and return the report. */
-    TrainingReport run();
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> _impl;
-};
-
-/** Convenience wrapper: build and run in one call. */
 TrainingReport runTraining(const hw::Topology &topo,
                            const model::TransformerModel &mdl,
                            const partition::Partition &part,

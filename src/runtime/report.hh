@@ -25,14 +25,6 @@ namespace runtime {
 using util::Bytes;
 using util::Tick;
 
-/** One point of the per-GPU memory-over-time curve (Fig. 1). */
-struct MemorySample
-{
-    Tick time = 0;
-    int gpu = 0;
-    Bytes used = 0;
-};
-
 /** Memory statistics for one GPU after a run. */
 struct GpuMemStats
 {
@@ -151,16 +143,13 @@ struct TrainingReport
 
     memory::LivenessTable liveness;  ///< filled in profiling runs
 
-    /** Per-GPU memory-over-time samples (ExecutorConfig
-     *  recordTimeline); one entry per allocation change. */
-    std::vector<MemorySample> memTimeline;
-
-    /** Execution trace (compute/swap spans per device lane);
-     *  populated when recordTimeline is set. */
+    /** Execution trace: compute/swap spans per device lane, fault
+     *  instants, and memory/metric counter tracks
+     *  (ExecutorConfig::record). */
     sim::TraceRecorder trace;
 
-    /** Metrics registry, memory timelines and per-stream utilization
-     *  (ExecutorConfig recordMetrics). */
+    /** Metrics registry, per-GPU memory event logs (the Fig. 1
+     *  curves) and per-stream utilization (ExecutorConfig::record). */
     obs::Observability observability;
 
     /** Fault-injection accounting (ExecutorConfig::faults). */

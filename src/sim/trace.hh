@@ -49,46 +49,36 @@ struct TraceCounter
 };
 
 /**
- * Collects spans; cheap when disabled.
+ * Collects spans, instants and counter samples.  The executor writes
+ * one only when ExecutorConfig::record is set.
  */
 class TraceRecorder
 {
   public:
-    explicit TraceRecorder(bool enabled = false) : _enabled(enabled) {}
-
-    bool enabled() const { return _enabled; }
-    void setEnabled(bool on) { _enabled = on; }
-
-    /** Record a finished span (no-op when disabled). */
+    /** Record a finished span. */
     void
     record(std::string name, std::string category, int lane,
            Tick start, Tick end)
     {
-        if (!_enabled)
-            return;
         _spans.push_back({std::move(name), std::move(category), lane,
                           start, end});
     }
 
-    /** Record one counter sample (no-op when disabled).  Exported as
-     *  a Chrome-trace counter event, rendered by Perfetto as a
-     *  stepwise curve alongside the span rows. */
+    /** Record one counter sample.  Exported as a Chrome-trace counter
+     *  event, rendered by Perfetto as a stepwise curve alongside the
+     *  span rows. */
     void
     recordCounter(std::string name, int lane, Tick time, double value)
     {
-        if (!_enabled)
-            return;
         _counters.push_back({std::move(name), lane, time, value});
     }
 
-    /** Record an instant marker (no-op when disabled).  Rendered by
-     *  the trace viewers as a flag pinned to its lane. */
+    /** Record an instant marker.  Rendered by the trace viewers as a
+     *  flag pinned to its lane. */
     void
     recordInstant(std::string name, std::string category, int lane,
                   Tick time)
     {
-        if (!_enabled)
-            return;
         _instants.push_back(
             {std::move(name), std::move(category), lane, time});
     }
@@ -103,13 +93,6 @@ class TraceRecorder
         return _instants;
     }
     std::size_t size() const { return _spans.size(); }
-    void
-    clear()
-    {
-        _spans.clear();
-        _counters.clear();
-        _instants.clear();
-    }
 
     /** Emit Chrome-trace JSON ("traceEvents" array of X events;
      *  timestamps in microseconds). */
@@ -125,7 +108,6 @@ class TraceRecorder
     }
 
   private:
-    bool _enabled;
     std::vector<TraceSpan> _spans;
     std::vector<TraceCounter> _counters;
     std::vector<TraceInstant> _instants;

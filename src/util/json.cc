@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <stdexcept>
+#include <cmath>
+#include <cstdlib>
 
 #include "util/strings.hh"
 
@@ -11,242 +12,7 @@ namespace util {
 
 namespace {
 
-/** Recursive-descent JSON syntax walker over a borrowed string. */
-class JsonChecker
-{
-  public:
-    JsonChecker(const std::string &text, const JsonLimits &limits)
-        : _text(text), _limits(limits)
-    {}
-
-    bool
-    check(std::string *error, JsonErrorKind *kind = nullptr)
-    {
-        bool ok = checkSize() && value() &&
-                  (skipWs(), _pos == _text.size());
-        if (!ok) {
-            if (_kind == JsonErrorKind::None)
-                _kind = JsonErrorKind::Syntax;
-            if (error) {
-                *error = strformat(
-                    "invalid JSON at byte %zu: %s", _pos,
-                    _reason.empty() ? "trailing content"
-                                    : _reason.c_str());
-            }
-        }
-        if (kind)
-            *kind = ok ? JsonErrorKind::None : _kind;
-        return ok;
-    }
-
-  private:
-    bool
-    fail(const char *reason,
-         JsonErrorKind kind = JsonErrorKind::Syntax)
-    {
-        if (_reason.empty()) {
-            _reason = reason;
-            _kind = kind;
-        }
-        return false;
-    }
-
-    bool
-    checkSize()
-    {
-        if (_limits.maxBytes > 0 && _text.size() > _limits.maxBytes) {
-            return fail("input exceeds size limit",
-                        JsonErrorKind::TooLarge);
-        }
-        return true;
-    }
-
-    void
-    skipWs()
-    {
-        while (_pos < _text.size() &&
-               (_text[_pos] == ' ' || _text[_pos] == '\t' ||
-                _text[_pos] == '\n' || _text[_pos] == '\r'))
-            ++_pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (_pos < _text.size() && _text[_pos] == c) {
-            ++_pos;
-            return true;
-        }
-        return false;
-    }
-
-    char
-    peek() const
-    {
-        return _pos < _text.size() ? _text[_pos] : '\0';
-    }
-
-    bool
-    literal(const char *word)
-    {
-        for (const char *p = word; *p; ++p) {
-            if (!consume(*p))
-                return fail("bad literal");
-        }
-        return true;
-    }
-
-    bool
-    string()
-    {
-        if (!consume('"'))
-            return fail("expected string");
-        while (_pos < _text.size()) {
-            auto c = static_cast<unsigned char>(_text[_pos]);
-            if (c == '"') {
-                ++_pos;
-                return true;
-            }
-            if (c < 0x20)
-                return fail("raw control character in string");
-            if (c == '\\') {
-                ++_pos;
-                char esc = peek();
-                if (esc == 'u') {
-                    ++_pos;
-                    for (int i = 0; i < 4; ++i, ++_pos) {
-                        if (!std::isxdigit(
-                                static_cast<unsigned char>(peek())))
-                            return fail("bad \\u escape");
-                    }
-                } else if (esc == '"' || esc == '\\' || esc == '/' ||
-                           esc == 'b' || esc == 'f' || esc == 'n' ||
-                           esc == 'r' || esc == 't') {
-                    ++_pos;
-                } else {
-                    return fail("bad escape");
-                }
-            } else {
-                ++_pos;
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    number()
-    {
-        consume('-');
-        if (!std::isdigit(static_cast<unsigned char>(peek())))
-            return fail("bad number");
-        while (std::isdigit(static_cast<unsigned char>(peek())))
-            ++_pos;
-        if (consume('.')) {
-            if (!std::isdigit(static_cast<unsigned char>(peek())))
-                return fail("bad fraction");
-            while (std::isdigit(static_cast<unsigned char>(peek())))
-                ++_pos;
-        }
-        if (peek() == 'e' || peek() == 'E') {
-            ++_pos;
-            if (peek() == '+' || peek() == '-')
-                ++_pos;
-            if (!std::isdigit(static_cast<unsigned char>(peek())))
-                return fail("bad exponent");
-            while (std::isdigit(static_cast<unsigned char>(peek())))
-                ++_pos;
-        }
-        return true;
-    }
-
-    bool
-    array()
-    {
-        ++_pos;  // '['
-        skipWs();
-        if (consume(']'))
-            return true;
-        for (;;) {
-            if (!value())
-                return false;
-            skipWs();
-            if (consume(']'))
-                return true;
-            if (!consume(','))
-                return fail("expected ',' or ']'");
-        }
-    }
-
-    bool
-    object()
-    {
-        ++_pos;  // '{'
-        skipWs();
-        if (consume('}'))
-            return true;
-        for (;;) {
-            skipWs();
-            if (!string())
-                return false;
-            skipWs();
-            if (!consume(':'))
-                return fail("expected ':'");
-            if (!value())
-                return false;
-            skipWs();
-            if (consume('}'))
-                return true;
-            if (!consume(','))
-                return fail("expected ',' or '}'");
-        }
-    }
-
-    bool
-    value()
-    {
-        if (++_depth > std::max(_limits.maxDepth, 1)) {
-            return fail("nesting too deep",
-                        JsonErrorKind::DepthExceeded);
-        }
-        skipWs();
-        bool ok;
-        switch (peek()) {
-          case '{':
-            ok = object();
-            break;
-          case '[':
-            ok = array();
-            break;
-          case '"':
-            ok = string();
-            break;
-          case 't':
-            ok = literal("true");
-            break;
-          case 'f':
-            ok = literal("false");
-            break;
-          case 'n':
-            ok = literal("null");
-            break;
-          default:
-            ok = number();
-            break;
-        }
-        --_depth;
-        return ok;
-    }
-
-    const std::string &_text;
-    JsonLimits _limits;
-    std::size_t _pos = 0;
-    int _depth = 0;
-    std::string _reason;
-    JsonErrorKind _kind = JsonErrorKind::None;
-};
-
-/** Recursive-descent document builder; grammar mirrors JsonChecker
- *  exactly, so anything jsonParseable() accepts parses here too. */
+/** Recursive-descent document builder over a borrowed string. */
 class JsonParser
 {
   public:
@@ -425,13 +191,14 @@ class JsonParser
             while (std::isdigit(static_cast<unsigned char>(peek())))
                 ++_pos;
         }
-        try {
-            out = std::stod(_text.substr(start, _pos - start));
-        } catch (const std::out_of_range &) {
-            // Syntactically valid but outside double range (1e400):
-            // a diagnostic beats a throw or a silent infinity.
+        // strtod rounds an underflowing literal (1e-310) to the
+        // nearest subnormal or zero, which is fine; only overflow
+        // (1e400) has no finite value, and a diagnostic beats a
+        // silent infinity.
+        out = std::strtod(_text.substr(start, _pos - start).c_str(),
+                          nullptr);
+        if (std::isinf(out))
             return fail("number out of range");
-        }
         return true;
     }
 
@@ -566,13 +333,6 @@ jsonErrorKindName(JsonErrorKind kind)
         return "too-large";
     }
     return "unknown";
-}
-
-bool
-jsonParseable(const std::string &text, std::string *error,
-              const JsonLimits &limits)
-{
-    return JsonChecker(text, limits).check(error);
 }
 
 ParsedJson

@@ -1,23 +1,20 @@
 /**
  * @file
- * Minimal strict JSON support: a syntax checker and a small document
- * parser.
+ * Minimal strict JSON support: one parser, a quoter and a renderer.
  *
- * The exporters (Chrome traces, metrics dumps) hand their output to
- * external consumers — Perfetto, plotting scripts — that reject
- * malformed JSON outright.  The validator lets tests and tools
- * assert exported files actually parse without pulling in a JSON
- * library dependency.
+ * jsonParse() builds a document tree (JsonValue) under the RFC 8259
+ * grammar; numbers are held as doubles (a literal beyond double range
+ * is rejected, an underflowing one rounds to the nearest subnormal or
+ * zero) and object member order is preserved.  It reads user-supplied
+ * JSON such as the CLI's --sweep scenario specs and mpress-serve
+ * requests, and lets tests assert that exported files (Chrome traces,
+ * metrics dumps, which Perfetto and plotting scripts reject when
+ * malformed) parse, without a JSON library dependency.
  *
- * jsonParse() additionally builds a document tree (JsonValue), used
- * by consumers of user-supplied JSON such as the CLI's --sweep
- * scenario specs.  Same RFC 8259 grammar; numbers are held as
- * doubles, object member order is preserved.
- *
- * Both entry points are safe on untrusted bytes: parsing is bounded
- * by explicit resource limits (JsonLimits) instead of the process
- * stack, and every rejection carries a typed reason (JsonErrorKind)
- * so network-facing callers (mpress-serve) can answer with a typed
+ * Parsing is safe on untrusted bytes: it is bounded by explicit
+ * resource limits (JsonLimits) instead of the process stack, and
+ * every rejection carries a typed reason (JsonErrorKind) so
+ * network-facing callers (mpress-serve) can answer with a typed
  * protocol error rather than a crash or an opaque string.
  */
 
@@ -36,7 +33,7 @@ namespace util {
 
 /**
  * Resource bounds enforced while parsing.  The recursive-descent
- * walkers consume one stack frame per nesting level, so maxDepth is
+ * parser consumes one stack frame per nesting level, so maxDepth is
  * what stands between a hostile `[[[[...` payload and a stack
  * overflow; maxBytes rejects oversized documents before any work.
  */
@@ -61,16 +58,6 @@ enum class JsonErrorKind
 
 /** Returns a stable display name for @p kind. */
 const char *jsonErrorKindName(JsonErrorKind kind);
-
-/**
- * Returns true when @p text is exactly one syntactically valid JSON
- * value (with optional surrounding whitespace) within @p limits.  On
- * failure, writes a byte offset and reason into @p error when
- * non-null.
- */
-bool jsonParseable(const std::string &text,
-                   std::string *error = nullptr,
-                   const JsonLimits &limits = {});
 
 /** One parsed JSON value (see jsonParse()). */
 class JsonValue
@@ -141,14 +128,15 @@ struct ParsedJson
     JsonErrorKind errorKind = JsonErrorKind::None;
 };
 
-/** Parse @p text into a document tree (strict RFC 8259), enforcing
+/** Parse @p text — exactly one JSON value, with optional surrounding
+ *  whitespace — into a document tree (strict RFC 8259), enforcing
  *  @p limits. */
 ParsedJson jsonParse(const std::string &text,
                      const JsonLimits &limits = {});
 
 /** Quote @p text as a JSON string literal: surrounding double quotes
  *  plus escapes for quotes, backslashes and control characters.  The
- *  output always satisfies jsonParseable(). */
+ *  output always parses with jsonParse(). */
 std::string jsonQuote(std::string_view text);
 
 /** Serialize @p value back to compact JSON text (no whitespace,

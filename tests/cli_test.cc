@@ -60,6 +60,16 @@ runCli(const std::string &args)
     return res;
 }
 
+/** The whole contents of @p path (empty when unreadable). */
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
 } // namespace
 
 TEST(CliExitCodes, MalformedIntFlagValueExits2)
@@ -108,6 +118,50 @@ TEST(CliExitCodes, WellFormedRunExits0)
     EXPECT_NE(res.output.find("samples/s"), std::string::npos);
 }
 
+TEST(CliRecording, TimelineAloneCarriesCounterTracks)
+{
+    // Either output flag records the whole run, so a trace written
+    // without --metrics still carries the memory and metric counter
+    // tracks beside the spans.
+    std::string trace = ::testing::TempDir() + "cli_timeline_only.json";
+    RunResult res = runCli("--model bert-0.35b --mb-per-mini 2"
+                           " --timeline " + trace);
+    ASSERT_EQ(res.exitCode, 0) << res.output;
+    std::string text = readFile(trace);
+    std::remove(trace.c_str());
+    mu::ParsedJson doc = mu::jsonParse(text);
+    ASSERT_TRUE(doc.ok) << doc.error;
+    EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
+    EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);
+}
+
+TEST(CliRecording, PlannedRunWritesWhatItsPlanReplays)
+{
+    // The planner plans unrecorded and the session replays the
+    // finished plan once, so a planning run writes the same trace and
+    // metrics as a --load-plan replay of the plan it saved.
+    const std::string dir = ::testing::TempDir() + "cli_recording_";
+    const std::string job =
+        "--model bert-1.67b --microbatch 8 --mb-per-mini 6";
+    RunResult planned =
+        runCli(job + " --save-plan " + dir + "plan.txt --timeline " +
+               dir + "t1.json --metrics " + dir + "m1.json");
+    ASSERT_EQ(planned.exitCode, 0) << planned.output;
+    RunResult replayed =
+        runCli(job + " --load-plan " + dir + "plan.txt --timeline " +
+               dir + "t2.json --metrics " + dir + "m2.json");
+    ASSERT_EQ(replayed.exitCode, 0) << replayed.output;
+    const std::string t1 = readFile(dir + "t1.json");
+    const std::string m1 = readFile(dir + "m1.json");
+    EXPECT_NE(t1.find("\"ph\":\"C\""), std::string::npos);
+    EXPECT_NE(m1.find("\"utilization\""), std::string::npos);
+    EXPECT_EQ(t1, readFile(dir + "t2.json"));
+    EXPECT_EQ(m1, readFile(dir + "m2.json"));
+    for (const char *f : {"plan.txt", "t1.json", "m1.json", "t2.json",
+                          "m2.json"})
+        std::remove((dir + f).c_str());
+}
+
 TEST(ServeCliParity, ServedPlanEqualsSavedPlanBytes)
 {
     // The acceptance contract of the daemon: a plan served over the
@@ -118,11 +172,7 @@ TEST(ServeCliParity, ServedPlanEqualsSavedPlanBytes)
         ::testing::TempDir() + "serve_cli_parity_plan.txt";
     RunResult cli = runCli("--save-plan " + plan_file);
     ASSERT_EQ(cli.exitCode, 0) << cli.output;
-    std::ifstream in(plan_file);
-    ASSERT_TRUE(in.good());
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::string cli_plan = buf.str();
+    std::string cli_plan = readFile(plan_file);
     ASSERT_FALSE(cli_plan.empty());
     std::remove(plan_file.c_str());
 

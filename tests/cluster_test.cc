@@ -627,8 +627,7 @@ TEST(ShardedSim, ReusedArenaReportIsByteIdentical)
         pl::buildSchedule(pl::SystemKind::PipeDream, 8, 4, 2);
     for (bool faulted : {false, true}) {
         rt::ExecutorConfig cfg;
-        cfg.recordTimeline = true;
-        cfg.recordMetrics = true;
+        cfg.record = true;
         if (faulted)
             cfg.faults = &faults;
         const std::string fresh = renderReportBytes(rt::runTraining(
@@ -670,8 +669,7 @@ TEST(ShardedSim, EightNodePlanReplaysByteIdentically)
 
     auto run = [&] {
         rt::ExecutorConfig cfg;
-        cfg.recordTimeline = true;
-        cfg.recordMetrics = true;
+        cfg.record = true;
         return rt::runTraining(topo, mdl, part, sched, planned.plan,
                                cfg);
     };

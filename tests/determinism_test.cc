@@ -211,8 +211,7 @@ TEST(Determinism, TraceAndMetricsExportsAreByteIdentical)
     auto run = [](int threads) {
         auto cfg =
             bench::gptJob("gpt-15.4b", api::Strategy::GpuCpuSwap);
-        cfg.executor.recordTimeline = true;
-        cfg.executor.recordMetrics = true;
+        cfg.executor.record = true;
         cfg.planner.threads = threads;
         return api::runSession(hw::Topology::dgx1V100(), cfg);
     };

@@ -27,19 +27,9 @@ namespace pl = mpress::pipeline;
 namespace rt = mpress::runtime;
 namespace mu = mpress::util;
 
-TEST(Trace, DisabledRecorderIsFree)
-{
-    mpress::sim::TraceRecorder trace(false);
-    trace.record("x", "compute", 0, 0, 10);
-    EXPECT_EQ(trace.size(), 0u);
-    trace.setEnabled(true);
-    trace.record("x", "compute", 0, 0, 10);
-    EXPECT_EQ(trace.size(), 1u);
-}
-
 TEST(Trace, ChromeExportIsWellFormed)
 {
-    mpress::sim::TraceRecorder trace(true);
+    mpress::sim::TraceRecorder trace;
     trace.nameLane(0, "gpu0");
     trace.record("fwd s0 mb0", "compute", 0, 1000, 2000);
     trace.record("a \"quoted\" name", "swap", 1, 2000, 3000);
@@ -59,7 +49,7 @@ TEST(Trace, AdversarialNamesStillProduceValidJson)
     // Control characters are illegal raw inside JSON strings; the
     // exporter must emit them as \u00XX (only quote and backslash
     // were escaped before).
-    mpress::sim::TraceRecorder trace(true);
+    mpress::sim::TraceRecorder trace;
     trace.nameLane(0, "gpu\n0");
     trace.record("multi\nline\tname", "compute", 0, 0, 1000);
     trace.record(std::string("nul\0byte", 8), "swap", 0, 1000, 2000);
@@ -70,8 +60,8 @@ TEST(Trace, AdversarialNamesStillProduceValidJson)
     trace.exportChromeTrace(os);
     std::string json = os.str();
 
-    std::string err;
-    EXPECT_TRUE(mpress::util::jsonParseable(json, &err)) << err;
+    auto doc = mu::jsonParse(json);
+    EXPECT_TRUE(doc.ok) << doc.error;
     EXPECT_NE(json.find("multi\\u000aline\\u0009name"),
               std::string::npos);
     EXPECT_NE(json.find("nul\\u0000byte"), std::string::npos);
@@ -93,7 +83,7 @@ timelineRun()
         mp::partitionModel(mdl, 3, mp::Strategy::ComputeBalanced);
     auto sched = pl::buildDapple(3, 6, 2);
     rt::ExecutorConfig ec;
-    ec.recordTimeline = true;
+    ec.record = true;
     return rt::runTraining(hw::Topology::dgx1V100(), mdl, part,
                            sched, {}, ec);
 }
@@ -104,20 +94,21 @@ TEST(Timeline, SamplesCoverTheRunAndMatchPeaks)
 {
     auto report = timelineRun();
     ASSERT_FALSE(report.oom);
-    ASSERT_FALSE(report.memTimeline.empty());
+    const auto &events = report.observability.memory.events();
+    ASSERT_FALSE(events.empty());
 
-    // Samples are time-ordered and within the makespan.
+    // Events are time-ordered and within the makespan.
     mu::Tick last = 0;
-    std::vector<mu::Bytes> max_seen(8, 0);
-    for (const auto &s : report.memTimeline) {
-        EXPECT_GE(s.time, last);
-        last = s.time;
-        EXPECT_LE(s.time, report.makespan);
-        max_seen[static_cast<std::size_t>(s.gpu)] =
-            std::max(max_seen[static_cast<std::size_t>(s.gpu)],
-                     s.used);
+    std::vector<mu::Bytes> used(8, 0), max_seen(8, 0);
+    for (const auto &e : events) {
+        EXPECT_GE(e.time, last);
+        last = e.time;
+        EXPECT_LE(e.time, report.makespan);
+        auto g = static_cast<std::size_t>(e.gpu);
+        used[g] += e.delta;
+        max_seen[g] = std::max(max_seen[g], used[g]);
     }
-    // The curve's maximum equals the tracker's recorded peak.
+    // The running sum's maximum equals the tracker's recorded peak.
     for (int g = 0; g < 3; ++g) {
         EXPECT_EQ(max_seen[static_cast<std::size_t>(g)],
                   report.gpus[static_cast<std::size_t>(g)].peak)
@@ -150,7 +141,7 @@ TEST(Timeline, OffByDefault)
     auto sched = pl::buildDapple(3, 6, 1);
     auto report = rt::runTraining(hw::Topology::dgx1V100(), mdl,
                                   part, sched, {});
-    EXPECT_TRUE(report.memTimeline.empty());
+    EXPECT_EQ(report.observability.memory.size(), 0u);
     EXPECT_EQ(report.trace.size(), 0u);
 }
 

@@ -560,7 +560,7 @@ TEST(Ladder, MetricsMirrorFaultCounters)
     s.events.push_back(transferFail(0, 1.0));
     rt::ExecutorConfig cfg;
     cfg.faults = &s;
-    cfg.recordMetrics = true;
+    cfg.record = true;
     auto r = job.run(plan, cfg);
     ASSERT_FALSE(r.oom);
     const auto &metrics = r.observability.metrics;
@@ -587,7 +587,7 @@ TEST(Ladder, FaultTraceInstantsAppearInTimeline)
     s.events.push_back(transferFail(0, 1.0));
     rt::ExecutorConfig cfg;
     cfg.faults = &s;
-    cfg.recordTimeline = true;
+    cfg.record = true;
     auto r = job.run(plan, cfg);
     ASSERT_FALSE(r.oom);
     ASSERT_FALSE(r.trace.instants().empty());

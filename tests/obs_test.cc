@@ -85,7 +85,7 @@ swapAll(const mp::Partition &part)
 
 TEST(Metrics, CountersAccumulateAndSample)
 {
-    obs::MetricsRegistry reg(true);
+    obs::MetricsRegistry reg;
     auto id = reg.counter("swap.bytes");
     ASSERT_NE(id, obs::MetricsRegistry::kInvalid);
     reg.add(id, 10, 100.0);
@@ -102,7 +102,7 @@ TEST(Metrics, CountersAccumulateAndSample)
 
 TEST(Metrics, GaugesMoveBothWays)
 {
-    obs::MetricsRegistry reg(true);
+    obs::MetricsRegistry reg;
     auto id = reg.gauge("host.used");
     reg.set(id, 5, 40.0);
     reg.set(id, 9, 10.0);
@@ -112,7 +112,7 @@ TEST(Metrics, GaugesMoveBothWays)
 
 TEST(Metrics, RegistrationInternsByName)
 {
-    obs::MetricsRegistry reg(true);
+    obs::MetricsRegistry reg;
     auto a = reg.counter("x");
     auto b = reg.counter("x");
     EXPECT_EQ(a, b);
@@ -121,9 +121,10 @@ TEST(Metrics, RegistrationInternsByName)
 
 TEST(Metrics, DisabledRegistryRecordsNothing)
 {
-    obs::MetricsRegistry reg;  // disabled by default
-    auto id = reg.counter("ignored");
-    EXPECT_EQ(id, obs::MetricsRegistry::kInvalid);
+    // An unrecorded run never registers its metrics, so its call
+    // sites hold kInvalid ids.
+    obs::MetricsRegistry reg;
+    auto id = obs::MetricsRegistry::kInvalid;
     reg.add(id, 1, 5.0);  // must be a harmless no-op
     reg.set(id, 1, 5.0);
     EXPECT_DOUBLE_EQ(reg.value(id), 0.0);
@@ -132,7 +133,7 @@ TEST(Metrics, DisabledRegistryRecordsNothing)
 
 TEST(Metrics, KindMismatchIsFatal)
 {
-    obs::MetricsRegistry reg(true);
+    obs::MetricsRegistry reg;
     reg.counter("m");
     EXPECT_DEATH(reg.gauge("m"), "m");
 }
@@ -141,7 +142,7 @@ TEST(Metrics, KindMismatchIsFatal)
 
 TEST(Timeline, CurveCollapsesSameTickEvents)
 {
-    obs::MemoryTimeline tl(true);
+    obs::MemoryTimeline tl;
     tl.record(0, 0, TensorKind::Parameter, 100);
     tl.record(5, 0, TensorKind::Activation, 50);
     tl.record(5, 0, TensorKind::Activation, -50);
@@ -160,7 +161,7 @@ TEST(Timeline, PeakSeesIntraTickSpikes)
     // The tracker's peak counts the instant both tensors were live,
     // even when the free lands on the same tick; the reconstructed
     // peak must match it, not the collapsed curve.
-    obs::MemoryTimeline tl(true);
+    obs::MemoryTimeline tl;
     tl.record(5, 0, TensorKind::Activation, 80);
     tl.record(5, 0, TensorKind::Activation, -80);
     EXPECT_EQ(tl.peak(0), 80);
@@ -169,7 +170,7 @@ TEST(Timeline, PeakSeesIntraTickSpikes)
 
 TEST(Timeline, PerKindPeaksAndGpuList)
 {
-    obs::MemoryTimeline tl(true);
+    obs::MemoryTimeline tl;
     tl.record(1, 1, TensorKind::Parameter, 10);
     tl.record(2, 0, TensorKind::Activation, 30);
     tl.record(3, 0, TensorKind::Activation, -30);
@@ -182,21 +183,13 @@ TEST(Timeline, PerKindPeaksAndGpuList)
     EXPECT_EQ(tl.finalUsed(0), 20);
 }
 
-TEST(Timeline, DisabledTimelineRecordsNothing)
-{
-    obs::MemoryTimeline tl;
-    tl.record(1, 0, TensorKind::Activation, 10);
-    EXPECT_EQ(tl.size(), 0u);
-    EXPECT_TRUE(tl.gpus().empty());
-}
-
 // ---- UtilizationRecorder ------------------------------------------
 
 TEST(Utilization, AttachedStreamBusyMatchesIntervals)
 {
     sim::Engine eng;
     sim::Stream stream(eng, "s");
-    obs::UtilizationRecorder rec(true);
+    obs::UtilizationRecorder rec;
     rec.attach(stream, obs::Resource::Compute, 0);
 
     eng.schedule(0, [&] {
@@ -220,7 +213,7 @@ TEST(Utilization, AttachedStreamBusyMatchesIntervals)
 
 TEST(Utilization, BusyTimeAggregatesByResourceAndGpu)
 {
-    obs::UtilizationRecorder rec(true);
+    obs::UtilizationRecorder rec;
     int a = rec.addChannel(obs::Resource::PcieH2D, 0, "pcie0.h2d");
     int b = rec.addChannel(obs::Resource::PcieH2D, 1, "pcie1.h2d");
     int c = rec.addChannel(obs::Resource::PcieD2H, 0, "pcie0.d2h");
@@ -233,27 +226,15 @@ TEST(Utilization, BusyTimeAggregatesByResourceAndGpu)
     EXPECT_EQ(rec.busyTime(obs::Resource::NvmeRead), 0);
 }
 
-TEST(Utilization, DisabledRecorderIgnoresAttach)
-{
-    sim::Engine eng;
-    sim::Stream stream(eng, "s");
-    obs::UtilizationRecorder rec;
-    rec.attach(stream, obs::Resource::Compute, 0);
-    eng.schedule(0, [&] { stream.submit(10, {}); });
-    eng.run();
-    EXPECT_TRUE(rec.channels().empty());
-}
-
 // ---- executor integration -----------------------------------------
 
 TEST(ObsIntegration, TimelineReconstructsTrackerPeaks)
 {
     Job job;
     rt::ExecutorConfig cfg;
-    cfg.recordMetrics = true;
+    cfg.record = true;
     auto report = job.run(swapAll(job.part), cfg);
     ASSERT_FALSE(report.oom);
-    ASSERT_TRUE(report.observability.enabled);
 
     const auto &mem = report.observability.memory;
     ASSERT_FALSE(mem.gpus().empty());
@@ -269,7 +250,7 @@ TEST(ObsIntegration, UtilizationMatchesFabricBusyTimes)
 {
     Job job;
     rt::ExecutorConfig cfg;
-    cfg.recordMetrics = true;
+    cfg.record = true;
     auto report = job.run(swapAll(job.part), cfg);
     ASSERT_FALSE(report.oom);
 
@@ -305,7 +286,7 @@ TEST(ObsIntegration, SwapCountersMatchReportAccounting)
 {
     Job job;
     rt::ExecutorConfig cfg;
-    cfg.recordMetrics = true;
+    cfg.record = true;
     auto report = job.run(swapAll(job.part), cfg);
     ASSERT_FALSE(report.oom);
 
@@ -323,9 +304,9 @@ TEST(ObsIntegration, SwapCountersMatchReportAccounting)
 TEST(ObsIntegration, MetricsOffRecordsNothing)
 {
     Job job;
-    auto report = job.run(swapAll(job.part));  // defaults: all off
+    auto report = job.run(swapAll(job.part));  // default: record off
     ASSERT_FALSE(report.oom);
-    EXPECT_FALSE(report.observability.enabled);
+    EXPECT_EQ(report.trace.size(), 0u);
     EXPECT_TRUE(report.observability.metrics.series().empty());
     EXPECT_EQ(report.observability.memory.size(), 0u);
     EXPECT_TRUE(report.observability.utilization.channels().empty());
@@ -337,14 +318,14 @@ TEST(ObsExport, JsonBundleIsParseable)
 {
     Job job;
     rt::ExecutorConfig cfg;
-    cfg.recordMetrics = true;
+    cfg.record = true;
     auto report = job.run(swapAll(job.part), cfg);
     ASSERT_FALSE(report.oom);
 
     std::ostringstream os;
     obs::exportJson(os, report.observability);
-    std::string err;
-    EXPECT_TRUE(mu::jsonParseable(os.str(), &err)) << err;
+    auto doc = mu::jsonParse(os.str());
+    EXPECT_TRUE(doc.ok) << doc.error;
     EXPECT_NE(os.str().find("\"memory\""), std::string::npos);
     EXPECT_NE(os.str().find("\"utilization\""), std::string::npos);
     EXPECT_NE(os.str().find("swap.out.bytes"), std::string::npos);
@@ -354,7 +335,7 @@ TEST(ObsExport, CsvDumpsHaveHeadersAndRows)
 {
     Job job;
     rt::ExecutorConfig cfg;
-    cfg.recordMetrics = true;
+    cfg.record = true;
     auto report = job.run(swapAll(job.part), cfg);
     ASSERT_FALSE(report.oom);
 
@@ -377,8 +358,7 @@ TEST(ObsExport, TraceGainsCounterEventsWhenBothFlagsOn)
 {
     Job job;
     rt::ExecutorConfig cfg;
-    cfg.recordMetrics = true;
-    cfg.recordTimeline = true;
+    cfg.record = true;
     auto report = job.run(swapAll(job.part), cfg);
     ASSERT_FALSE(report.oom);
 
@@ -386,8 +366,8 @@ TEST(ObsExport, TraceGainsCounterEventsWhenBothFlagsOn)
     std::ostringstream os;
     report.trace.exportChromeTrace(os);
     EXPECT_NE(os.str().find("\"ph\":\"C\""), std::string::npos);
-    std::string err;
-    EXPECT_TRUE(mu::jsonParseable(os.str(), &err)) << err;
+    auto doc = mu::jsonParse(os.str());
+    EXPECT_TRUE(doc.ok) << doc.error;
 }
 
 TEST(ObsExport, EmptyBundleStillParses)
@@ -395,8 +375,8 @@ TEST(ObsExport, EmptyBundleStillParses)
     obs::Observability o;
     std::ostringstream os;
     obs::exportJson(os, o);
-    std::string err;
-    EXPECT_TRUE(mu::jsonParseable(os.str(), &err)) << err;
+    auto doc = mu::jsonParse(os.str());
+    EXPECT_TRUE(doc.ok) << doc.error;
 }
 
 TEST(ObsExport, SweepReportKeepsRowOrderAndParses)
@@ -563,7 +543,7 @@ TEST(ObsIntegration, NvmeChannelsBusyUnderContention)
     job.topo.setHostMemory(4 * mu::kGB);
     job.topo.setNvmeCapacity(500 * mu::kGB);
     rt::ExecutorConfig cfg;
-    cfg.recordMetrics = true;
+    cfg.record = true;
     auto report = job.run(swapAll(job.part), cfg);
     ASSERT_FALSE(report.oom);
     ASSERT_GT(report.nvmeSpill, 0);

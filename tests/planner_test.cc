@@ -427,6 +427,20 @@ TEST(Profiler, ReportsPeaksAndLiveness)
     EXPECT_LT(profile.usableCapacity, job.topo.gpu().memCapacity);
 }
 
+TEST(Profiler, ProfileRunNeverRecords)
+{
+    // Every plan's profile run needs liveness but never a trace, even
+    // when the caller records.
+    PlannerJob job("bert-0.35b", 4);
+    rt::ExecutorConfig cfg;
+    cfg.record = true;
+    auto profile = pn::profileJob(job.topo, job.mdl, job.part,
+                                  job.sched, cfg);
+    EXPECT_GT(profile.report.liveness.size(), 0u);
+    EXPECT_EQ(profile.report.trace.size(), 0u);
+    EXPECT_EQ(profile.report.observability.memory.size(), 0u);
+}
+
 TEST(Profiler, MeasuresTrueDemandPastOom)
 {
     PlannerJob job("bert-1.67b");

@@ -9,6 +9,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/export.hh"
 #include "runtime/report.hh"
@@ -17,9 +18,9 @@ namespace mpress {
 namespace testing {
 
 /** Serialize everything a TrainingReport observes about a run: the
- *  scalar outcome, per-GPU peaks, the execution trace and the metrics
- *  registry.  One reordered event anywhere shows up as a byte
- *  difference here. */
+ *  scalar outcome, per-GPU peaks, the memory curves, the execution
+ *  trace and the observability bundle.  One reordered event anywhere
+ *  shows up as a byte difference here. */
 inline std::string
 renderReportBytes(const runtime::TrainingReport &r)
 {
@@ -49,9 +50,14 @@ renderReportBytes(const runtime::TrainingReport &r)
        << r.faults.fallbackRecompute << " "
        << r.faults.straggledTasks << " "
        << r.faults.hostPressureEvents << "\n";
-    for (const auto &m : r.memTimeline) {
-        os << "mem " << m.time << " " << m.gpu << " " << m.used
-           << "\n";
+    // Usage after every allocation change: a running per-GPU sum of
+    // the memory event log (not MemoryTimeline::curve(), which
+    // collapses same-tick changes).
+    std::vector<util::Bytes> used(r.gpus.size(), 0);
+    for (const auto &e : r.observability.memory.events()) {
+        util::Bytes &u = used[static_cast<std::size_t>(e.gpu)];
+        u += e.delta;
+        os << "mem " << e.time << " " << e.gpu << " " << u << "\n";
     }
     r.trace.exportChromeTrace(os);
     obs::exportJson(os, r.observability);

@@ -462,6 +462,29 @@ TEST(SearchDriver, EveryBatchTrialIsEmulatedThenVerified)
     }
 }
 
+TEST(SearchDriver, TrialsNeverRecord)
+{
+    // A recording caller (mpress_cli --timeline) hands its config to
+    // the driver; its trials must not pay for a trace, and must score
+    // exactly like unrecorded ones.
+    Job job("bert-1.67b");
+    rt::ExecutorConfig recorded;
+    recorded.record = true;
+    mu::ThreadPool serial(1);
+    pn::SearchDriver driver(job.topo, job.mdl, job.part, job.sched,
+                            recorded, serial);
+    pn::SearchDriver plain(job.topo, job.mdl, job.part, job.sched, {},
+                           serial);
+    auto r = driver.evaluateOne(recomputeAll(job.part)).report;
+    auto p = plain.evaluateOne(recomputeAll(job.part)).report;
+    ASSERT_FALSE(r.oom);
+    EXPECT_EQ(r.trace.size(), 0u);
+    EXPECT_TRUE(r.trace.counters().empty());
+    EXPECT_EQ(r.observability.memory.size(), 0u);
+    EXPECT_TRUE(r.observability.metrics.series().empty());
+    EXPECT_EQ(r.makespan, p.makespan);
+}
+
 TEST(SearchDriver, PlannerThreadCountDoesNotChangeThePlan)
 {
     // The tentpole's determinism contract, at the planner level: the

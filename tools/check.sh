@@ -49,9 +49,12 @@ if [ "$run_asan" = 1 ]; then
     ctest --test-dir build-asan --output-on-failure -j "$jobs"
 
     echo "== trace/metrics export smoke =="
+    # Either output flag records the whole run, so each file is
+    # complete without the other flag.
     smoke=$(mktemp -d)
     ./build-asan/examples/mpress_cli \
-        --timeline "$smoke/trace.json" \
+        --timeline "$smoke/trace.json" >/dev/null
+    ./build-asan/examples/mpress_cli \
         --metrics "$smoke/metrics.json" >/dev/null
     python3 - "$smoke" <<'EOF'
 import json, sys
