@@ -17,11 +17,89 @@
  *
  * Every run also tees its metrics into BENCH_sim.json (see
  * bench::BenchReport) so tools/check.sh can gate on regressions.
+ *
+ * This binary replaces the global operator new to count heap
+ * allocations exactly (BM_FullIterationSwitchFabric's
+ * allocs_per_run), nothrow variants included, as
+ * tests/search_test.cc does.  The replacements stay out of line:
+ * inlined, GCC would see their malloc and free at the call sites and
+ * report them as mismatched with the operators.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
+
+namespace {
+std::atomic<std::uint64_t> g_alloc_calls{0};
+} // namespace
+
+[[gnu::noinline]] void *
+operator new(std::size_t n)
+{
+    g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void *
+operator new[](std::size_t n)
+{
+    return ::operator new(n);
+}
+
+[[gnu::noinline]] void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n ? n : 1);
+}
+
+[[gnu::noinline]] void *
+operator new[](std::size_t n, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(n, tag);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
 
 #include "bench/common.hh"
 #include "compaction/striping.hh"
@@ -309,8 +387,10 @@ BM_FullIterationSwitchFabric(benchmark::State &state)
     // run tests/golden_test.cc pins), replayed on a reused arena the
     // way planner trials run.  Unlike BM_FullIteration's empty DGX-1
     // plan it exercises 12-lane striped transfers and per-instance
-    // swap state.  events_per_run is exact and host-independent, so
-    // tools/check.sh gates it against the committed count.
+    // swap state.  events_per_run and allocs_per_run (heap
+    // allocations of one warm replay, counted after the timed loop)
+    // are exact and host-independent, so tools/check.sh gates both
+    // against the committed counts.
     mpress::bench::SwitchFabricJob job;
     rt::ExecutorArena arena;
     rt::ExecutorConfig ec;
@@ -322,8 +402,19 @@ BM_FullIterationSwitchFabric(benchmark::State &state)
         events = report.shardStats[0].events;
         benchmark::DoNotOptimize(report.makespan);
     }
+    const std::uint64_t allocs0 =
+        g_alloc_calls.load(std::memory_order_relaxed);
+    {
+        auto report = rt::runTraining(job.topo, job.mdl, job.part,
+                                      job.sched, job.plan, ec);
+        benchmark::DoNotOptimize(report.makespan);
+    }
+    const std::uint64_t allocs =
+        g_alloc_calls.load(std::memory_order_relaxed) - allocs0;
     state.counters["events_per_run"] =
         benchmark::Counter(static_cast<double>(events));
+    state.counters["allocs_per_run"] =
+        benchmark::Counter(static_cast<double>(allocs));
 }
 BENCHMARK(BM_FullIterationSwitchFabric);
 

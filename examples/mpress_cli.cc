@@ -58,6 +58,8 @@
  *                             Either flag records the whole run; the
  *                             planner strategies plan unrecorded,
  *                             then replay the finished plan once.
+ *                             Neither combines with --robustness or
+ *                             --sweep (exit 1).
  *     --faults <spec.json>    inject a fault scenario into the run
  *                             (see below); the scenario is statically
  *                             verified against the topology first and
@@ -511,6 +513,12 @@ main(int argc, char **argv)
 
     if (threads < 1)
         usage("--threads must be >= 1");
+    // A robustness matrix and a sweep write their own reports, not
+    // the trace or metrics of one run.
+    if ((!timeline.empty() || !metrics.empty()) &&
+        (!robustness.empty() || !sweep.empty()))
+        usage("--timeline and --metrics do not combine with"
+              " --robustness or --sweep");
 
     if (!sweep.empty()) {
         Scenario defaults{"",         model,      system,

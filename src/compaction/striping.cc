@@ -39,13 +39,23 @@ makeStripePlan(const hw::Topology &topo, int src,
                const std::vector<SpareGrant> &grants, Bytes bytes)
 {
     StripePlan plan;
+    StripeScratch scratch;
+    makeStripePlan(topo, src, grants, bytes, plan, scratch);
+    return plan;
+}
+
+void
+makeStripePlan(const hw::Topology &topo, int src,
+               const std::vector<SpareGrant> &grants, Bytes bytes,
+               StripePlan &out, StripeScratch &scratch)
+{
+    out.stripes.clear();
     if (bytes <= 0)
-        return plan;
+        return;
 
     // Reachable importers with nonzero budget, keeping grant order.
-    struct Cand { int gpu; Bytes budget; int lanes; };
-    std::vector<Cand> cands;
-    int total_lanes = 0;
+    auto &cands = scratch.cands;
+    cands.clear();
     for (const auto &g : grants) {
         if (g.budget <= 0)
             continue;
@@ -53,17 +63,18 @@ makeStripePlan(const hw::Topology &topo, int src,
         if (lanes <= 0)
             continue;
         cands.push_back({g.importerGpu, g.budget, lanes});
-        total_lanes += lanes;
     }
     if (cands.empty())
-        return plan;
+        return;
 
     // Lane-weighted shares (equal on symmetric fabrics where all
     // lane counts match), with budget-capped water-filling: any
     // overflow from a capped importer is re-spread over the rest.
-    std::vector<Bytes> share(cands.size(), 0);
+    auto &share = scratch.share;
+    share.assign(cands.size(), 0);
     Bytes remaining = bytes;
-    std::vector<bool> capped(cands.size(), false);
+    auto &capped = scratch.capped;
+    capped.assign(cands.size(), 0);
     while (remaining > 0) {
         int lanes_open = 0;
         for (std::size_t i = 0; i < cands.size(); ++i) {
@@ -71,7 +82,7 @@ makeStripePlan(const hw::Topology &topo, int src,
                 lanes_open += cands[i].lanes;
         }
         if (lanes_open == 0)
-            return {};  // budgets cannot absorb the tensor
+            return;  // budgets cannot absorb the tensor
 
         // The integer-division remainder goes to the last *open*
         // candidate: a capped tail importer must not be handed the
@@ -96,7 +107,7 @@ makeStripePlan(const hw::Topology &topo, int src,
             if (want >= room) {
                 share[i] += room;
                 distributed += room;
-                capped[i] = true;
+                capped[i] = 1;
                 newly_capped = true;
             } else {
                 share[i] += want;
@@ -119,19 +130,18 @@ makeStripePlan(const hw::Topology &topo, int src,
                 share[i - 1] += take;
                 remaining -= take;
                 if (share[i - 1] == cands[i - 1].budget)
-                    capped[i - 1] = true;
+                    capped[i - 1] = 1;
             }
             if (remaining > 0)
-                return {};
+                return;
         }
     }
 
     for (std::size_t i = 0; i < cands.size(); ++i) {
         if (share[i] > 0)
-            plan.stripes.push_back(
+            out.stripes.push_back(
                 {cands[i].gpu, share[i], cands[i].lanes});
     }
-    return plan;
 }
 
 Tick

@@ -48,6 +48,22 @@ struct StripePlan
     bool empty() const { return stripes.empty(); }
 };
 
+/** Working storage of makeStripePlan(): the reachable candidates,
+ *  their shares and capped flags.  A caller that plans many tensors
+ *  keeps one and reuses its capacity. */
+struct StripeScratch
+{
+    struct Candidate
+    {
+        int gpu;
+        Bytes budget;
+        int lanes;
+    };
+    std::vector<Candidate> cands;
+    std::vector<Bytes> share;
+    std::vector<char> capped;
+};
+
 /**
  * Compute the striping of a @p bytes tensor exported by @p src.
  *
@@ -65,6 +81,13 @@ struct StripePlan
 StripePlan makeStripePlan(const hw::Topology &topo, int src,
                           const std::vector<SpareGrant> &grants,
                           Bytes bytes);
+
+/** The same plan, written into @p out (its capacity kept) with
+ *  @p scratch as working storage: allocation-free once both have
+ *  grown to the largest grant list. */
+void makeStripePlan(const hw::Topology &topo, int src,
+                    const std::vector<SpareGrant> &grants, Bytes bytes,
+                    StripePlan &out, StripeScratch &scratch);
 
 /**
  * Uncontended duration of executing @p plan from @p src: the slowest

@@ -142,20 +142,25 @@ Fabric::build()
     }
 }
 
-std::vector<sim::Stream *>
-Fabric::pickLanes(LanePool &pool, int k)
+void
+Fabric::pickLanes(const LanePool &pool, int k,
+                  std::vector<sim::Stream *> &picked)
 {
-    std::vector<sim::Stream *> all;
-    all.reserve(pool.lanes.size());
-    for (auto &lane : pool.lanes)
-        all.push_back(lane.get());
-    std::stable_sort(all.begin(), all.end(),
-                     [](const sim::Stream *a, const sim::Stream *b) {
-                         return a->busyUntil() < b->busyUntil();
-                     });
-    if (static_cast<int>(all.size()) > k)
-        all.resize(static_cast<std::size_t>(k));
-    return all;
+    // Insertion sort: stable, in place, and cheap for a pool's few
+    // lanes (a GPU's ports, a GPU pair's links or a node's NICs).
+    picked.clear();
+    for (const auto &lane : pool.lanes) {
+        sim::Stream *s = lane.get();
+        std::size_t i = picked.size();
+        picked.push_back(s);
+        while (i > 0 && s->busyUntil() < picked[i - 1]->busyUntil()) {
+            picked[i] = picked[i - 1];
+            --i;
+        }
+        picked[i] = s;
+    }
+    if (static_cast<int>(picked.size()) > k)
+        picked.resize(static_cast<std::size_t>(k));
 }
 
 Tick
@@ -170,8 +175,8 @@ Fabric::shaped(FabricResource res, int node, int a, int b, Bytes bytes,
 
 void
 Fabric::stripedTransfer(FabricResource res, int src, int dst,
-                        std::vector<sim::Stream *> out_lanes,
-                        std::vector<sim::Stream *> in_lanes,
+                        const std::vector<sim::Stream *> &out_lanes,
+                        const std::vector<sim::Stream *> &in_lanes,
                         const LinkSpec &spec, Bytes bytes, Done done)
 {
     const int k = static_cast<int>(out_lanes.size());
@@ -203,11 +208,12 @@ void
 Fabric::ingressLeg(const std::shared_ptr<CrossXfer> &xfer)
 {
     const int dst_node = _topo.nodeOf(xfer->dst);
-    auto in = pickLanes(_nicIn[dst_node], xfer->lanes);
+    pickLanes(_nicIn[dst_node], xfer->lanes, _pickIn);
     Tick dur = shaped(FabricResource::NicIngress, dst_node, xfer->src,
                       xfer->dst, xfer->bytes, xfer->wire);
     // One event per leg, for the reason given in stripedTransfer().
-    _engine.schedule(occupyLanes(in, dur, 0), std::move(xfer->done));
+    _engine.schedule(occupyLanes(_pickIn, dur, 0),
+                     std::move(xfer->done));
 }
 
 void
@@ -238,10 +244,11 @@ Fabric::crossNodeTransfer(int src, int dst, Bytes bytes, int lanes,
     xfer->wire = wire;
     xfer->done = std::move(done);
 
-    auto out = pickLanes(_nicOut[src_node], lanes);
+    pickLanes(_nicOut[src_node], lanes, _pickOut);
     Tick out_dur = shaped(FabricResource::NicEgress, src_node, src,
                           dst, bytes, wire);
-    _engine.schedule(occupyLanes(out, out_dur, 0), [xfer, dst_node] {
+    const Tick out_end = occupyLanes(_pickOut, out_dur, 0);
+    _engine.schedule(out_end, [xfer, dst_node] {
         xfer->fab->_engine.post(
             dst_node, [xfer] { xfer->fab->ingressLeg(xfer); });
     });
@@ -265,16 +272,17 @@ Fabric::d2dTransfer(int src, int dst, Bytes bytes, int lanes, Done done)
         // same NICs.
         crossNodeTransfer(src, dst, bytes, lanes, std::move(done));
     } else if (_topo.symmetric()) {
-        auto out = pickLanes(_egress[src], lanes);
-        auto in = pickLanes(_ingress[dst], lanes);
+        pickLanes(_egress[src], lanes, _pickOut);
+        pickLanes(_ingress[dst], lanes, _pickIn);
         stripedTransfer(FabricResource::NvlinkEgress, src, dst,
-                        std::move(out), std::move(in),
-                        _topo.nvlinkSpec(), bytes, std::move(done));
+                        _pickOut, _pickIn, _topo.nvlinkSpec(), bytes,
+                        std::move(done));
     } else {
         auto it = _pairLanes.find({src, dst});
-        auto out = pickLanes(it->second, lanes);
+        pickLanes(it->second, lanes, _pickOut);
+        _pickIn.clear();
         stripedTransfer(FabricResource::NvlinkEgress, src, dst,
-                        std::move(out), {},
+                        _pickOut, _pickIn,
                         _topo.linkSpecBetween(src, dst), bytes,
                         std::move(done));
     }

@@ -188,14 +188,18 @@ class Fabric
         Done done;
     };
 
-    /** Pick the @p k least-busy lanes of @p pool. */
-    static std::vector<sim::Stream *> pickLanes(LanePool &pool, int k);
+    /** Write the @p k least-busy lanes of @p pool into @p picked, in
+     *  the order a stable sort by busyUntil() gives (ties keep pool
+     *  order).  @p picked is fabric-owned scratch, so a pick
+     *  allocates nothing once it has held a whole pool. */
+    static void pickLanes(const LanePool &pool, int k,
+                          std::vector<sim::Stream *> &picked);
 
     void build();
 
     void stripedTransfer(FabricResource res, int src, int dst,
-                         std::vector<sim::Stream *> out_lanes,
-                         std::vector<sim::Stream *> in_lanes,
+                         const std::vector<sim::Stream *> &out_lanes,
+                         const std::vector<sim::Stream *> &in_lanes,
                          const LinkSpec &spec, Bytes bytes, Done done);
 
     void crossNodeTransfer(int src, int dst, Bytes bytes, int lanes,
@@ -238,6 +242,11 @@ class Fabric
     // One NVMe channel pair per node (a node swaps to its own SSDs).
     std::vector<std::unique_ptr<sim::Stream>> _nvmeWrite;
     std::vector<std::unique_ptr<sim::Stream>> _nvmeRead;
+
+    /** pickLanes() output for the sending and the receiving side of
+     *  one transfer; each is consumed before the next pick. */
+    std::vector<sim::Stream *> _pickOut;
+    std::vector<sim::Stream *> _pickIn;
 };
 
 } // namespace hw

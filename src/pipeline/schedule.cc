@@ -1,7 +1,6 @@
 #include "pipeline/schedule.hh"
 
 #include <algorithm>
-#include <set>
 
 #include "util/logging.hh"
 #include "util/strings.hh"
@@ -119,18 +118,31 @@ Schedule::weightVersions(int stage) const
 {
     if (!weightStashing)
         return 1;
-    std::set<int> open;
-    std::size_t peak = 1;
-    for (int id : perStageOrder.at(stage)) {
+    // A minibatch is open from its stage's first forward until its
+    // optimizer step.  One flag per minibatch, so the scan allocates
+    // once however long the window is.
+    const auto &order = perStageOrder.at(stage);
+    int lo = 0;
+    int hi = -1;
+    for (int id : order) {
+        lo = std::min(lo, tasks[id].minibatch);
+        hi = std::max(hi, tasks[id].minibatch);
+    }
+    std::vector<char> open(static_cast<std::size_t>(hi - lo + 1), 0);
+    int live = 0;
+    int peak = 1;
+    for (int id : order) {
         const Task &t = tasks[id];
-        if (t.kind == TaskKind::Forward) {
-            open.insert(t.minibatch);
-            peak = std::max(peak, open.size());
-        } else if (t.kind == TaskKind::OptimStep) {
-            open.erase(t.minibatch);
+        char &is_open = open[static_cast<std::size_t>(t.minibatch - lo)];
+        if (t.kind == TaskKind::Forward && !is_open) {
+            is_open = 1;
+            peak = std::max(peak, ++live);
+        } else if (t.kind == TaskKind::OptimStep && is_open) {
+            is_open = 0;
+            --live;
         }
     }
-    return static_cast<int>(peak);
+    return peak;
 }
 
 void

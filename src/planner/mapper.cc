@@ -103,7 +103,7 @@ struct Evaluation
  * and a std::map per permutation (8! placements -> hundreds of
  * thousands of allocations per mapping call), which dominated the
  * planner's wall time; with the scratch the steady-state scan is
- * allocation-free except for stripe plans of contending candidates.
+ * allocation-free, stripe plans included.
  */
 struct Scratch
 {
@@ -118,6 +118,9 @@ struct Scratch
     /** The GPUs floor A's lead exporter could draw spare from. */
     std::vector<SpareGrant> reach;
     std::vector<int> stageToGpu;
+    /** finishEval()'s stripe plans and their working storage. */
+    compaction::StripePlan stripes;
+    compaction::StripeScratch stripeScratch;
 
     explicit Scratch(int n)
         : demandOnGpu(static_cast<std::size_t>(n)),
@@ -354,7 +357,7 @@ grantBound(const Scratch &ws, const LaneMatrix &lanes, Bytes capacity)
  *  still beat the chunk's best score. */
 Evaluation
 finishEval(const hw::Topology &topo, const LaneMatrix &lanes,
-           const Scratch &ws, const std::vector<int> &stage_to_gpu,
+           Scratch &ws, const std::vector<int> &stage_to_gpu,
            Bytes capacity, double coverage)
 {
     Evaluation ev;
@@ -374,12 +377,12 @@ finishEval(const hw::Topology &topo, const LaneMatrix &lanes,
             granted += g.budget;
         Bytes placed = std::min(over, granted);
         if (placed > 0) {
-            auto plan =
-                compaction::makeStripePlan(topo, gpu, gl, placed);
-            if (!plan.empty()) {
+            compaction::makeStripePlan(topo, gpu, gl, placed,
+                                       ws.stripes, ws.stripeScratch);
+            if (!ws.stripes.empty()) {
                 ev.worstDrain = std::max(
                     ev.worstDrain,
-                    compaction::stripePlanTime(topo, gpu, plan));
+                    compaction::stripePlanTime(topo, gpu, ws.stripes));
             }
         }
     }

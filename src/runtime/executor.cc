@@ -47,22 +47,16 @@ struct TrainingRun
     const compaction::CompactionPlan &plan;
     ExecutorConfig cfg;
 
-    /** Engine storage for self-contained runs; unused (and empty)
-     *  when cfg.arena supplies a reusable engine. */
-    sim::Engine ownEngine;
-    /** The engine in use, partitioned by node: the arena's or
-     *  ownEngine. */
+    /** The arena of a self-contained run; unused (and empty) when
+     *  cfg.arena supplies one. */
+    ExecutorArena ownArena;
+    /** The engine in use, partitioned by node: the arena's. */
     sim::Engine *engine = nullptr;
     /** topo.numNodes() when the topology has an inter-node fabric,
      *  else 1. */
     int numNodes = 1;
 
-    /** Fabric storage for self-contained runs (or the first run on a
-     *  fresh arena); empty when the arena's retained fabric is
-     *  reused. */
-    std::unique_ptr<hw::Fabric> ownFabric;
-    /** The fabric in use: the arena's retained one (reset at
-     *  construction) or ownFabric. */
+    /** The fabric in use: the arena's, reset at construction. */
     hw::Fabric *fabric = nullptr;
 
     std::vector<std::unique_ptr<sim::Stream>> compute;
@@ -86,14 +80,21 @@ struct TrainingRun
     /** Minibatch completion times merged across nodes in finalize(). */
     std::vector<Tick> minibatchDone;
 
+    /** The backward task running on one stage.  stageBusy admits one
+     *  at a time, so every stage has one chain, reused task after
+     *  task.  Its layers run last to first: step i is layer
+     *  lastLayer - i. */
     struct BwdChain
     {
-        const pipeline::Task *task = nullptr;
-        std::vector<std::size_t> layersRev;
+        const pipeline::Task *task = nullptr;  ///< null when idle
+        std::size_t lastLayer = 0;
+        std::size_t numLayers = 0;
         std::size_t next = 0;
         std::size_t nextPrefetch = 0;
         int inflightSwapIns = 0;
         Tick stallStart = -1;
+
+        std::size_t layerAt(std::size_t i) const { return lastLayer - i; }
     };
 
     /**
@@ -117,11 +118,8 @@ struct TrainingRun
         Bytes hostPressureCut = 0;
         Bytes totalPressureCut = 0;
 
-        compaction::SwapMetadataTable swapTable;
-        std::map<int, BwdChain> bwdChains;  // keyed by task id
-        /** Weight-version fetch progress for stash-offloaded backward
-         *  tasks: absent = not issued, 1 = in flight, 2 = landed. */
-        std::map<int, int> versionFetch;
+        /** The arena's table for this node. */
+        compaction::SwapMetadataTable *swapTable = nullptr;
 
         /** Per-node injector (seed salted by node id; node 0 draws
          *  the exact unsalted stream). */
@@ -174,6 +172,18 @@ struct TrainingRun
 
     /** Planned kind per layer: plan.kindFor() resolved once. */
     std::vector<Kind> layerKind;
+
+    /** One backward chain per stage; only the stage's node writes
+     *  it, and Instance::blockedOn points into it. */
+    std::vector<BwdChain> bwdChains;
+
+    /** Weight-version fetch progress per task id, for the backward
+     *  tasks of stash-offloaded stages: 0 = not issued, 1 = in
+     *  flight, 2 = landed. */
+    std::vector<char> versionFetch;
+
+    /** Working storage of every D2D swap-out's stripe plan. */
+    compaction::StripeScratch stripeScratch;
 
     Instance &
     inst(InstanceKey key)
@@ -334,6 +344,9 @@ struct TrainingRun
                 (n == 0 ? nvme_total -
                               nvme_share * static_cast<Bytes>(numNodes)
                         : 0);
+            ns.swapTable = &arena().swapTables[static_cast<std::size_t>(n)];
+            ns.swapTable->reset(static_cast<int>(mdl.numLayers()),
+                                sched.totalMicrobatches());
             ns.lastOptim.assign(
                 static_cast<std::size_t>(sched.numMinibatches), 0);
             ns.optRemaining.assign(
@@ -362,6 +375,8 @@ struct TrainingRun
                     plan.kindFor({stage.index, static_cast<int>(l)});
         }
 
+        bwdChains.resize(static_cast<std::size_t>(sched.numStages));
+        versionFetch.assign(sched.tasks.size(), 0);
         taskDone.assign(sched.tasks.size(), 0);
         arrivalDone.assign(sched.tasks.size(), 0);
         for (const auto &t2 : sched.tasks) {
@@ -389,22 +404,17 @@ struct TrainingRun
             setupFaults();
     }
 
+    ExecutorArena &arena() { return cfg.arena ? *cfg.arena : ownArena; }
+
     /**
-     * Select (and reset) the engine and fabric: the arena's retained
-     * pair when one is supplied, self-owned storage otherwise.  The
-     * fabric partitions the engine by node.
+     * Select and reset the arena's engine and fabric, building the
+     * fabric on first use or for a new topology.  The fabric
+     * partitions the engine by node.
      */
     void
     setupEngines()
     {
-        if (cfg.arena == nullptr) {
-            engine = &ownEngine;
-            ownFabric = std::make_unique<hw::Fabric>(ownEngine, topo);
-            fabric = ownFabric.get();
-            return;
-        }
-
-        ExecutorArena &ar = *cfg.arena;
+        ExecutorArena &ar = arena();
         // Sample the high-water ratio before reset() zeroes the
         // per-run slot count (reservedSlots survives).
         const bool over =
@@ -424,18 +434,19 @@ struct TrainingRun
         }
         fabric = ar.fabric.get();
         applyShrinkPolicy(over);
+        ar.swapTables.resize(static_cast<std::size_t>(numNodes));
     }
 
     /** High-water policy: after kShrinkAfter consecutive runs whose
      *  retained slabs could hold over twice what was actually used,
-     *  release the engine's and fabric's retained storage so a
-     *  long-lived daemon does not hold one huge plan's peak arenas
-     *  forever.  The engine was reset above, so its heap is empty
-     *  (a shrink() precondition). */
+     *  release the engine's, fabric's and swap tables' retained
+     *  storage so a long-lived daemon does not hold one huge plan's
+     *  peak arenas forever.  The engine was reset above, so its heap
+     *  is empty (a shrink() precondition). */
     void
     applyShrinkPolicy(bool over)
     {
-        ExecutorArena &ar = *cfg.arena;
+        ExecutorArena &ar = arena();
         if (!over) {
             ar.overStreak = 0;
             return;
@@ -446,6 +457,7 @@ struct TrainingRun
         ++ar.shrinks;
         engine->shrink();
         fabric->shrink();
+        ar.swapTables.clear();
     }
 
     /** Arm the injectors: count the schedule, install the fabric
@@ -562,15 +574,28 @@ struct TrainingRun
         }
     }
 
-    /** Emit a fault marker into @p ns's trace (lane -1 = host-wide). */
+    /** Emit a fault marker into @p ns's trace (lane -1 = host-wide).
+     *  An unrecorded run builds no string. */
     void
-    traceInstant(NodeState &ns, std::string name, int lane)
+    traceInstant(NodeState &ns, const char *name, int lane)
     {
         if (!cfg.record)
             return;
-        ns.trace.recordInstant(std::move(name), "fault",
-                               lane < 0 ? 0 : lane,
+        ns.trace.recordInstant(name, "fault", lane < 0 ? 0 : lane,
                                engine->now());
+    }
+
+    /** The marker "fault: <what> s<stage> mb<microbatch>" of a fault
+     *  on instance @p key, on @p gpu's lane. */
+    void
+    traceFault(NodeState &ns, const char *what, InstanceKey key, int gpu)
+    {
+        if (!cfg.record)
+            return;
+        ns.trace.recordInstant(util::strformat("fault: %s s%d mb%d", what,
+                                               key.ref.stage,
+                                               key.microbatch),
+                               "fault", gpu, engine->now());
     }
 
     /** Apply any active straggle window to a compute duration. */
@@ -762,32 +787,38 @@ struct TrainingRun
 
     // ---- P2P stage-to-stage transfers -----------------------------
 
+    /** Ship a stage's boundary tensor (an activation downstream or a
+     *  gradient upstream) to @p dst_stage, whose task @p nxt then
+     *  counts it arrived. */
     void
-    p2pTransfer(int src_gpu, int dst_gpu, Bytes bytes,
-                sim::EventFn done)
+    shipBoundary(int src_stage, int dst_stage, Bytes bytes, int nxt)
     {
+        const int src_gpu = gpuOf(src_stage);
+        const int dst_gpu = gpuOf(dst_stage);
+        auto arrive = [this, nxt, dst_stage]() {
+            arrivalDone[static_cast<std::size_t>(nxt)] = 1;
+            tryAdvance(dst_stage);
+        };
         if (bytes <= 0 || src_gpu == dst_gpu) {
             if (sameNode(src_gpu, dst_gpu)) {
-                engine->scheduleIn(0, std::move(done));
+                engine->scheduleIn(0, arrive);
             } else {
                 // Degenerate cross-node hand-off: even an empty
                 // message takes the lookahead.
-                engine->post(nodeOfGpu(dst_gpu), std::move(done));
+                engine->post(nodeOfGpu(dst_gpu), arrive);
             }
             return;
         }
         if (fabric->lanesBetween(src_gpu, dst_gpu) > 0) {
             // Direct lanes: NVLink within a node, the NIC path across
-            // nodes (done then fires on the destination node).
-            fabric->d2dTransfer(src_gpu, dst_gpu, bytes, 1,
-                                std::move(done));
+            // nodes (arrive then fires on the destination node).
+            fabric->d2dTransfer(src_gpu, dst_gpu, bytes, 1, arrive);
         } else {
             // No direct NVLink: bounce through host memory.
             fabric->gpuToHost(src_gpu, bytes,
-                              [this, dst_gpu, bytes,
-                               cb = std::move(done)]() mutable {
+                              [this, dst_gpu, bytes, arrive]() {
                                   fabric->hostToGpu(dst_gpu, bytes,
-                                                    std::move(cb));
+                                                    arrive);
                               });
         }
     }
@@ -825,26 +856,21 @@ struct TrainingRun
         // the queue head and let it overlap the wait.
         if (t.kind == TaskKind::Backward &&
             plan.stashOffloaded(t.stage)) {
-            NodeState &ns = nsOfStage(t.stage);
-            auto fetch = ns.versionFetch.find(t.id);
-            if (fetch == ns.versionFetch.end()) {
-                ns.versionFetch[t.id] = 1;
+            char &fetch = versionFetch[static_cast<std::size_t>(t.id)];
+            if (fetch == 0) {
+                fetch = 1;
                 const int gpu = gpuOf(t.stage);
                 const auto &stage_part =
                     part.stages[static_cast<std::size_t>(t.stage)];
-                const Tick t0 = engine->now();
                 fabric->gpuToHost(gpu, stage_part.paramBytes, [] {});
                 fabric->hostToGpu(
-                    gpu, stage_part.paramBytes, [this, &t, t0]() {
-                        nsOfStage(t.stage).versionFetch[t.id] = 2;
-                        // Only the unhidden part is overhead; if the
-                        // task was already runnable we stalled.
-                        (void)t0;
+                    gpu, stage_part.paramBytes, [this, &t]() {
+                        versionFetch[static_cast<std::size_t>(t.id)] = 2;
                         tryAdvance(t.stage);
                     });
                 return;
             }
-            if (fetch->second != 2)
+            if (fetch != 2)
                 return;
         }
         if (!eligible(t))
@@ -873,31 +899,18 @@ struct TrainingRun
         if (t.kind == TaskKind::Forward &&
             t.stage < sched.numStages - 1) {
             // Ship the boundary activation downstream.
-            int nxt = sched.fwdId(t.stage + 1, t.microbatch);
-            Bytes bytes =
-                part.stages[static_cast<std::size_t>(t.stage)]
-                    .outputBytes;
-            int dst_stage = t.stage + 1;
-            p2pTransfer(gpuOf(t.stage), gpuOf(dst_stage), bytes,
-                        [this, nxt, dst_stage]() {
-                            arrivalDone[static_cast<std::size_t>(nxt)] =
-                                1;
-                            tryAdvance(dst_stage);
-                        });
+            shipBoundary(t.stage, t.stage + 1,
+                         part.stages[static_cast<std::size_t>(t.stage)]
+                             .outputBytes,
+                         sched.fwdId(t.stage + 1, t.microbatch));
         } else if (t.kind == TaskKind::Backward && t.stage > 0) {
             // Ship the input gradient upstream (same size as the
             // upstream stage's boundary activation).
-            int nxt = sched.bwdId(t.stage - 1, t.microbatch);
-            Bytes bytes =
+            shipBoundary(
+                t.stage, t.stage - 1,
                 part.stages[static_cast<std::size_t>(t.stage - 1)]
-                    .outputBytes;
-            int dst_stage = t.stage - 1;
-            p2pTransfer(gpuOf(t.stage), gpuOf(dst_stage), bytes,
-                        [this, nxt, dst_stage]() {
-                            arrivalDone[static_cast<std::size_t>(nxt)] =
-                                1;
-                            tryAdvance(dst_stage);
-                        });
+                    .outputBytes,
+                sched.bwdId(t.stage - 1, t.microbatch));
         } else if (t.kind == TaskKind::OptimStep) {
             NodeState &ns = nsOfStage(t.stage);
             auto k = static_cast<std::size_t>(t.minibatch);
@@ -992,8 +1005,7 @@ struct TrainingRun
             break;
           }
           case Kind::D2dSwap: {
-            startD2dSwapOut(key, gpu, layer.activationStash,
-                            t.minibatch);
+            startD2dSwapOut(key, gpu, layer.activationStash);
             break;
           }
         }
@@ -1001,9 +1013,16 @@ struct TrainingRun
         runFwdLayer(t, pos + 1);
     }
 
+    /** Minibatch of an instance: its forward task's. */
+    int
+    minibatchOf(InstanceKey key) const
+    {
+        return sched.task(sched.fwdId(key.ref.stage, key.microbatch))
+            .minibatch;
+    }
+
     void
-    startD2dSwapOut(InstanceKey key, int gpu, Bytes bytes,
-                    int minibatch)
+    startD2dSwapOut(InstanceKey key, int gpu, Bytes bytes)
     {
         NodeState &ns = nsOf(gpu);
         auto it = grantsLeft.find(gpu);
@@ -1011,24 +1030,25 @@ struct TrainingRun
             ns.d2dOverflow += bytes;
             return;
         }
-        compaction::StripePlan stripe_plan;
+        // The stripes are planned straight into the record.
+        auto &rec = ns.swapTable->beginSwapOut(key, Kind::D2dSwap, bytes);
+        auto &stripes = rec.plan.stripes;
         if (plan.d2dStriping) {
-            stripe_plan = compaction::makeStripePlan(topo, gpu,
-                                                     it->second,
-                                                     bytes);
+            compaction::makeStripePlan(topo, gpu, it->second, bytes,
+                                       rec.plan, stripeScratch);
         } else {
             // Figure 9 ablation baseline: the whole tensor goes to
             // one importer over a single lane.
             for (const auto &grant : it->second) {
                 if (grant.budget >= bytes &&
                     topo.pathLanes(gpu, grant.importerGpu) > 0) {
-                    stripe_plan.stripes.push_back(
-                        {grant.importerGpu, bytes, 1});
+                    stripes.push_back({grant.importerGpu, bytes, 1});
                     break;
                 }
             }
         }
-        if (stripe_plan.empty()) {
+        if (stripes.empty()) {
+            ns.swapTable->abort(key);
             ns.d2dOverflow += bytes;
             return;
         }
@@ -1036,7 +1056,9 @@ struct TrainingRun
         // issue.  A cross-node stripe's reservation is made on the
         // importer's own node when the data lands (issueSwapOutStripe)
         // — the importer's budget is still debited here, exporter-side.
-        for (const auto &stripe : stripe_plan.stripes) {
+        rec.landed.assign(stripes.size(), 0);
+        for (std::size_t i = 0; i < stripes.size(); ++i) {
+            const auto &stripe = stripes[i];
             for (auto &grant : it->second) {
                 if (grant.importerGpu == stripe.targetGpu) {
                     grant.budget -= stripe.bytes;
@@ -1046,50 +1068,29 @@ struct TrainingRun
             if (sameNode(gpu, stripe.targetGpu)) {
                 gpuAlloc(stripe.targetGpu, TensorKind::Activation,
                          stripe.bytes);
+                rec.landed[i] = 1;
             }
         }
         ns.obsData.metrics.add(mD2dOut, engine->now(),
                                static_cast<double>(bytes));
-        auto &rec = ns.swapTable.beginSwapOut(key, Kind::D2dSwap,
-                                              stripe_plan, bytes);
         inst(key).inState = InState::Pending;
         pendingFreeBytes[static_cast<std::size_t>(gpu)] += bytes;
 
-        auto attempt = std::make_shared<SwapOutAttempt>();
-        attempt->key = key;
-        attempt->gpu = gpu;
-        attempt->minibatch = minibatch;
-        attempt->remaining = static_cast<int>(rec.plan.stripes.size());
-        attempt->landed.assign(rec.plan.stripes.size(), 0);
-        for (std::size_t i = 0; i < rec.plan.stripes.size(); ++i) {
-            if (sameNode(gpu, rec.plan.stripes[i].targetGpu))
-                attempt->landed[i] = 1;
-        }
-        for (std::size_t i = 0; i < rec.plan.stripes.size(); ++i)
-            issueSwapOutStripe(attempt, rec.plan.stripes[i],
-                               static_cast<int>(i), 0);
+        // The stripes resolve independently (possibly after retries);
+        // the instance settles when the last one does.
+        rec.remaining = static_cast<int>(stripes.size());
+        for (std::size_t i = 0; i < stripes.size(); ++i)
+            issueSwapOutStripe(key, static_cast<int>(i), 0);
     }
 
-    /** One D2D swap-out in flight: stripes resolve independently
-     *  (possibly after retries); the instance settles when the last
-     *  stripe does.  landed[i] marks stripes whose importer memory is
-     *  reserved, so a demotion frees exactly what was taken. */
-    struct SwapOutAttempt
-    {
-        InstanceKey key;
-        int gpu = -1;
-        int minibatch = 0;
-        int remaining = 0;
-        bool anyFailed = false;
-        std::vector<char> landed;
-    };
-
     void
-    issueSwapOutStripe(std::shared_ptr<SwapOutAttempt> attempt,
-                       compaction::Stripe stripe, int idx, int try_no)
+    issueSwapOutStripe(InstanceKey key, int idx, int try_no)
     {
-        const int gpu = attempt->gpu;
+        const int gpu = gpuOf(key.ref.stage);
         NodeState &ns = nsOf(gpu);
+        const compaction::Stripe stripe =
+            ns.swapTable->find(key)
+                ->plan.stripes[static_cast<std::size_t>(idx)];
         // Draw the failure at issue time so the PRNG consumption
         // order follows the exporter node's deterministic event
         // order.  A failed stripe still occupies its lanes for the
@@ -1100,19 +1101,13 @@ struct TrainingRun
         if (fails) {
             ++ns.faults.transferFailures;
             ns.obsData.metrics.add(mFaultFail, engine->now(), 1.0);
-            traceInstant(
-                ns,
-                util::strformat("fault: d2d stripe fail s%d mb%d",
-                                attempt->key.ref.stage,
-                                attempt->key.microbatch),
-                gpu);
+            traceFault(ns, "d2d stripe fail", key, gpu);
         }
         if (sameNode(gpu, stripe.targetGpu)) {
             fabric->d2dTransfer(
                 gpu, stripe.targetGpu, stripe.bytes, stripe.lanes,
-                [this, attempt, stripe, idx, try_no, fails]() {
-                    resolveSwapOutStripe(attempt, stripe, idx, try_no,
-                                         !fails);
+                [this, key, idx, try_no, fails]() {
+                    resolveSwapOutStripe(key, idx, try_no, !fails);
                 });
             return;
         }
@@ -1121,17 +1116,15 @@ struct TrainingRun
         // memory tracker and acknowledges back to the exporter with a
         // message.
         const int src_node = nodeOfGpu(gpu);
+        const int target = stripe.targetGpu;
+        const Bytes sb = stripe.bytes;
         fabric->d2dTransfer(
-            gpu, stripe.targetGpu, stripe.bytes, stripe.lanes,
-            [this, attempt, stripe, idx, try_no, fails, src_node]() {
-                if (!fails) {
-                    gpuAlloc(stripe.targetGpu, TensorKind::Activation,
-                             stripe.bytes);
-                }
-                engine->post(src_node, [this, attempt, stripe, idx,
-                                        try_no, fails]() {
-                    resolveSwapOutStripe(attempt, stripe, idx, try_no,
-                                         !fails);
+            gpu, target, sb, stripe.lanes,
+            [this, key, idx, try_no, fails, src_node, target, sb]() {
+                if (!fails)
+                    gpuAlloc(target, TensorKind::Activation, sb);
+                engine->post(src_node, [this, key, idx, try_no, fails]() {
+                    resolveSwapOutStripe(key, idx, try_no, !fails);
                 });
             });
     }
@@ -1140,13 +1133,13 @@ struct TrainingRun
      *  directly for same-node stripes, via the ack message for
      *  cross-node ones). */
     void
-    resolveSwapOutStripe(
-        const std::shared_ptr<SwapOutAttempt> &attempt,
-        compaction::Stripe stripe, int idx, int try_no, bool ok)
+    resolveSwapOutStripe(InstanceKey key, int idx, int try_no, bool ok)
     {
+        NodeState &ns = nsOfStage(key.ref.stage);
+        compaction::SwapRecord &rec = *ns.swapTable->find(key);
         if (ok) {
-            attempt->landed[static_cast<std::size_t>(idx)] = 1;
-            swapOutStripeResolved(attempt);
+            rec.landed[static_cast<std::size_t>(idx)] = 1;
+            swapOutStripeResolved(key, rec);
             return;
         }
         if (!cfg.faultLadder) {
@@ -1155,63 +1148,59 @@ struct TrainingRun
             // report.
             return;
         }
-        NodeState &ns = nsOf(attempt->gpu);
         if (try_no < cfg.maxTransferRetries) {
             ++ns.faults.retries;
             ns.obsData.metrics.add(mFaultRetry, engine->now(),
                                    1.0);
-            engine->scheduleIn(
-                cfg.retryBackoff << try_no,
-                [this, attempt, stripe, idx, try_no]() {
-                    issueSwapOutStripe(attempt, stripe, idx,
-                                       try_no + 1);
-                });
+            engine->scheduleIn(cfg.retryBackoff << try_no,
+                               [this, key, idx, try_no]() {
+                                   issueSwapOutStripe(key, idx,
+                                                      try_no + 1);
+                               });
             return;
         }
-        attempt->anyFailed = true;
-        swapOutStripeResolved(attempt);
+        rec.anyFailed = true;
+        swapOutStripeResolved(key, rec);
     }
 
     void
-    swapOutStripeResolved(const std::shared_ptr<SwapOutAttempt> &at)
+    swapOutStripeResolved(InstanceKey key, compaction::SwapRecord &rec)
     {
-        if (--at->remaining > 0)
+        if (--rec.remaining > 0)
             return;
-        if (!at->anyFailed) {
-            finishD2dSwapOut(*at);
+        if (!rec.anyFailed) {
+            finishD2dSwapOut(key, rec.bytes);
             return;
         }
-        demoteFailedD2d(*at);
+        demoteFailedD2d(key, rec);
     }
 
     void
-    finishD2dSwapOut(const SwapOutAttempt &at)
+    finishD2dSwapOut(InstanceKey key, Bytes bytes)
     {
-        NodeState &ns = nsOf(at.gpu);
-        const auto *r = ns.swapTable.find(at.key);
-        pendingFreeBytes[static_cast<std::size_t>(at.gpu)] -= r->bytes;
-        gpuFree(at.gpu, TensorKind::Activation, r->bytes);
-        ns.swapTable.markResident(at.key);
-        if (countsForSavings(at.minibatch))
-            ns.savings.d2dSwap += r->bytes;
-        wakeIfBlocked(at.key);
+        const int gpu = gpuOf(key.ref.stage);
+        NodeState &ns = nsOf(gpu);
+        pendingFreeBytes[static_cast<std::size_t>(gpu)] -= bytes;
+        gpuFree(gpu, TensorKind::Activation, bytes);
+        ns.swapTable->markResident(key);
+        if (countsForSavings(minibatchOf(key)))
+            ns.savings.d2dSwap += bytes;
+        wakeIfBlocked(key);
     }
 
     /** A stripe exhausted its retries: undo the whole D2D swap-out
      *  (free landed importer reservations, re-credit grants) and walk
      *  the instance down the ladder — GPU-CPU swap, then recompute. */
     void
-    demoteFailedD2d(const SwapOutAttempt &at)
+    demoteFailedD2d(InstanceKey key, const compaction::SwapRecord &rec)
     {
-        const InstanceKey key = at.key;
-        const int gpu = at.gpu;
+        const int gpu = gpuOf(key.ref.stage);
         NodeState &ns = nsOf(gpu);
-        auto *rec = ns.swapTable.find(key);
-        const Bytes bytes = rec->bytes;
+        const Bytes bytes = rec.bytes;
         auto git = grantsLeft.find(gpu);
-        for (std::size_t i = 0; i < rec->plan.stripes.size(); ++i) {
-            const auto &stripe = rec->plan.stripes[i];
-            if (at.landed[i]) {
+        for (std::size_t i = 0; i < rec.plan.stripes.size(); ++i) {
+            const auto &stripe = rec.plan.stripes[i];
+            if (rec.landed[i]) {
                 if (sameNode(gpu, stripe.targetGpu)) {
                     gpuFree(stripe.targetGpu, TensorKind::Activation,
                             stripe.bytes);
@@ -1233,20 +1222,17 @@ struct TrainingRun
             }
         }
         pendingFreeBytes[static_cast<std::size_t>(gpu)] -= bytes;
-        ns.swapTable.abort(key);
+        ns.swapTable->abort(key);
         Instance &in = inst(key);
         in.inState = InState::NotNeeded;
 
-        if (startHostSwapOut(key, gpu, bytes, at.minibatch)) {
+        const int minibatch = minibatchOf(key);
+        if (startHostSwapOut(key, gpu, bytes, minibatch)) {
             in.kindOverride = Kind::GpuCpuSwap;
             ++ns.faults.fallbackGpuCpuSwap;
             ns.obsData.metrics.add(mFaultFallbackSwap,
                                    engine->now(), 1.0);
-            traceInstant(
-                ns,
-                util::strformat("fault: fallback swap s%d mb%d",
-                                key.ref.stage, key.microbatch),
-                gpu);
+            traceFault(ns, "fallback swap", key, gpu);
             return;
         }
 
@@ -1258,15 +1244,11 @@ struct TrainingRun
         ++ns.faults.fallbackRecompute;
         ns.obsData.metrics.add(mFaultFallbackRecompute,
                                engine->now(), 1.0);
-        traceInstant(
-            ns,
-            util::strformat("fault: fallback recompute s%d mb%d",
-                            key.ref.stage, key.microbatch),
-            gpu);
+        traceFault(ns, "fallback recompute", key, gpu);
         gpuFree(gpu, TensorKind::Activation, layer.activationStash);
         gpuAlloc(gpu, TensorKind::Activation, layer.outputBytes);
         in.inState = InState::NotNeeded;
-        if (countsForSavings(at.minibatch)) {
+        if (countsForSavings(minibatch)) {
             ns.savings.recompute +=
                 layer.activationStash - layer.outputBytes;
         }
@@ -1316,29 +1298,28 @@ struct TrainingRun
         }
         ns.obsData.metrics.add(mSwapOut, engine->now(),
                                static_cast<double>(bytes));
-        auto &rec0 = ns.swapTable.beginSwapOut(key, Kind::GpuCpuSwap,
-                                               {}, bytes);
-        rec0.onNvme = to_nvme;
+        ns.swapTable->beginSwapOut(key, Kind::GpuCpuSwap, bytes).onNvme =
+            to_nvme;
         inst(key).inState = InState::Pending;
         pendingFreeBytes[static_cast<std::size_t>(gpu)] += bytes;
         fabric->gpuToHost(
             gpu, bytes, [this, key, gpu, minibatch]() {
                 NodeState &n2 = nsOf(gpu);
-                auto *rec = n2.swapTable.find(key);
+                auto *rec = n2.swapTable->find(key);
                 pendingFreeBytes[static_cast<std::size_t>(gpu)] -=
                     rec->bytes;
                 gpuFree(gpu, TensorKind::Activation, rec->bytes);
                 if (countsForSavings(minibatch))
                     n2.savings.gpuCpuSwap += rec->bytes;
                 if (!rec->onNvme) {
-                    n2.swapTable.markResident(key);
+                    n2.swapTable->markResident(key);
                     wakeIfBlocked(key);
                     return;
                 }
                 // Second leg: stream through to the SSD.
                 fabric->hostToNvme(
                     n2.node, rec->bytes, [this, key, gpu]() {
-                        nsOf(gpu).swapTable.markResident(key);
+                        nsOf(gpu).swapTable->markResident(key);
                         wakeIfBlocked(key);
                     });
             });
@@ -1352,25 +1333,23 @@ struct TrainingRun
     {
         const auto &stage =
             part.stages[static_cast<std::size_t>(t.stage)];
-        NodeState &ns = nsOfStage(t.stage);
-        BwdChain chain;
+        BwdChain &chain = bwdChains[static_cast<std::size_t>(t.stage)];
+        chain = BwdChain{};
         chain.task = &t;
-        for (std::size_t pos = stage.lastLayer + 1;
-             pos > stage.firstLayer; --pos)
-            chain.layersRev.push_back(pos - 1);
-        auto [it, ok] = ns.bwdChains.emplace(t.id, std::move(chain));
-        (void)ok;
-
-        issuePrefetches(it->second);
-        runBwdLayer(it->second);
+        chain.lastLayer = stage.lastLayer;
+        chain.numLayers = stage.lastLayer + 1 > stage.firstLayer
+                              ? stage.lastLayer + 1 - stage.firstLayer
+                              : 0;
+        issuePrefetches(chain);
+        runBwdLayer(chain);
     }
 
     void
     issuePrefetches(BwdChain &chain)
     {
-        while (chain.nextPrefetch < chain.layersRev.size() &&
+        while (chain.nextPrefetch < chain.numLayers &&
                chain.inflightSwapIns < cfg.swapInLookahead) {
-            std::size_t pos = chain.layersRev[chain.nextPrefetch];
+            std::size_t pos = chain.layerAt(chain.nextPrefetch);
             InstanceKey key{{chain.task->stage,
                              static_cast<int>(pos)},
                             chain.task->microbatch};
@@ -1385,7 +1364,7 @@ struct TrainingRun
     issueSwapIn(BwdChain &chain, InstanceKey key)
     {
         NodeState &ns = nsOfStage(chain.task->stage);
-        auto *rec = ns.swapTable.find(key);
+        auto *rec = ns.swapTable->find(key);
         if (!rec || rec->state != SwapState::Resident)
             return;  // swap-out still in flight; will stall later
         inst(key).inState = InState::InFlight;
@@ -1394,7 +1373,7 @@ struct TrainingRun
                                                           : mSwapIn,
                                engine->now(),
                                static_cast<double>(rec->bytes));
-        ns.swapTable.markSwappingIn(key);
+        ns.swapTable->markSwappingIn(key);
         const int gpu = gpuOf(chain.task->stage);
 
         // Re-materialize the stash on the exporter GPU; the transfer
@@ -1403,12 +1382,12 @@ struct TrainingRun
             gpu, TensorKind::Activation, rec->bytes,
             [this, key, gpu]() {
                 NodeState &n2 = nsOf(gpu);
-                const auto *r = n2.swapTable.find(key);
+                auto *r = n2.swapTable->find(key);
                 if (r->kind == Kind::GpuCpuSwap && r->onNvme) {
                     fabric->nvmeToHost(
                         n2.node, r->bytes, [this, key, gpu]() {
                             const auto *rec2 =
-                                nsOf(gpu).swapTable.find(key);
+                                nsOf(gpu).swapTable->find(key);
                             fabric->hostToGpu(gpu, rec2->bytes,
                                               [this, key]() {
                                                   onSwapInDone(key);
@@ -1419,32 +1398,24 @@ struct TrainingRun
                         onSwapInDone(key);
                     });
                 } else {
-                    auto attempt = std::make_shared<SwapInAttempt>();
-                    attempt->key = key;
-                    attempt->gpu = gpu;
-                    attempt->remaining =
-                        static_cast<int>(r->plan.stripes.size());
-                    for (const auto &stripe : r->plan.stripes)
-                        issueSwapInStripe(attempt, stripe, 0);
+                    // Completes when every stripe has been fetched
+                    // back from its importer.
+                    const auto n = static_cast<int>(r->plan.stripes.size());
+                    r->remaining = n;
+                    for (int i = 0; i < n; ++i)
+                        issueSwapInStripe(key, i, 0);
                 }
             });
     }
 
-    /** One D2D swap-in in flight; completes when every stripe has
-     *  been fetched back from its importer. */
-    struct SwapInAttempt
-    {
-        InstanceKey key;
-        int gpu = -1;
-        int remaining = 0;
-    };
-
     void
-    issueSwapInStripe(std::shared_ptr<SwapInAttempt> attempt,
-                      compaction::Stripe stripe, int try_no)
+    issueSwapInStripe(InstanceKey key, int idx, int try_no)
     {
-        const int gpu = attempt->gpu;
+        const int gpu = gpuOf(key.ref.stage);
         NodeState &ns = nsOf(gpu);
+        const compaction::Stripe stripe =
+            ns.swapTable->find(key)
+                ->plan.stripes[static_cast<std::size_t>(idx)];
         // The draw stays on the exporter's node even for cross-node
         // stripes, keeping the consumption order deterministic.
         const bool fails =
@@ -1453,111 +1424,108 @@ struct TrainingRun
         if (fails) {
             ++ns.faults.transferFailures;
             ns.obsData.metrics.add(mFaultFail, engine->now(), 1.0);
-            traceInstant(
-                ns,
-                util::strformat("fault: d2d stripe fail s%d mb%d",
-                                attempt->key.ref.stage,
-                                attempt->key.microbatch),
-                gpu);
+            traceFault(ns, "d2d stripe fail", key, gpu);
         }
-        // The completion below runs on the transfer's destination —
-        // the exporter's own node — so it may touch ns state freely.
-        auto done = [this, attempt, stripe, try_no, fails]() {
-            if (!fails) {
-                if (--attempt->remaining == 0)
-                    onSwapInDone(attempt->key);
-                return;
-            }
-            if (!cfg.faultLadder) {
-                // Ladder disabled: the stripe never arrives and the
-                // blocked backward deadlocks into OOM.
-                return;
-            }
-            NodeState &n2 = nsOf(attempt->gpu);
-            if (try_no < cfg.maxTransferRetries) {
-                ++n2.faults.retries;
-                n2.obsData.metrics.add(mFaultRetry, engine->now(),
-                                       1.0);
-                engine->scheduleIn(
-                    cfg.retryBackoff << try_no,
-                    [this, attempt, stripe, try_no]() {
-                        issueSwapInStripe(attempt, stripe,
-                                          try_no + 1);
-                    });
-                return;
-            }
-            // Retries exhausted on the direct link: the data still
-            // lives on the importer, so reroute the stripe through
-            // host memory over PCIe — the swap-in's GPU-CPU fallback
-            // rung.
-            ++n2.faults.fallbackGpuCpuSwap;
-            n2.obsData.metrics.add(mFaultFallbackSwap,
-                                   engine->now(), 1.0);
-            traceInstant(
-                n2,
-                util::strformat(
-                    "fault: stripe reroute via host s%d mb%d",
-                    attempt->key.ref.stage, attempt->key.microbatch),
-                attempt->gpu);
-            rerouteSwapInStripe(attempt, stripe);
-        };
+        // The completion runs on the transfer's destination — the
+        // exporter's own node — so it may touch ns state freely.
         if (sameNode(stripe.targetGpu, gpu)) {
             fabric->d2dTransfer(stripe.targetGpu, gpu, stripe.bytes,
-                                stripe.lanes, std::move(done));
+                                stripe.lanes,
+                                [this, key, idx, try_no, fails]() {
+                                    swapInStripeLanded(key, idx, try_no,
+                                                       fails);
+                                });
             return;
         }
         // Cross-node pull: the transfer must be issued from the
         // importer's node (it occupies the importer's egress NICs), so
         // send it a pull-request message; the two-leg completion then
         // lands back here on the exporter's node.
-        engine->post(nodeOfGpu(stripe.targetGpu),
-                     [this, attempt, stripe,
-                      d = std::move(done)]() mutable {
-                         fabric->d2dTransfer(stripe.targetGpu,
-                                             attempt->gpu, stripe.bytes,
-                                             stripe.lanes, std::move(d));
-                     });
+        engine->post(
+            nodeOfGpu(stripe.targetGpu),
+            [this, key, stripe, idx, try_no, gpu, fails]() {
+                fabric->d2dTransfer(stripe.targetGpu, gpu, stripe.bytes,
+                                    stripe.lanes,
+                                    [this, key, idx, try_no, fails]() {
+                                        swapInStripeLanded(key, idx,
+                                                           try_no, fails);
+                                    });
+            });
+    }
+
+    /** One swap-in stripe's transfer finished on the exporter's node:
+     *  count it in, or walk the failed stripe down the ladder. */
+    void
+    swapInStripeLanded(InstanceKey key, int idx, int try_no, bool fails)
+    {
+        if (!fails) {
+            swapInStripeArrived(key);
+            return;
+        }
+        if (!cfg.faultLadder) {
+            // Ladder disabled: the stripe never arrives and the
+            // blocked backward deadlocks into OOM.
+            return;
+        }
+        const int gpu = gpuOf(key.ref.stage);
+        NodeState &ns = nsOf(gpu);
+        if (try_no < cfg.maxTransferRetries) {
+            ++ns.faults.retries;
+            ns.obsData.metrics.add(mFaultRetry, engine->now(), 1.0);
+            engine->scheduleIn(cfg.retryBackoff << try_no,
+                               [this, key, idx, try_no]() {
+                                   issueSwapInStripe(key, idx,
+                                                     try_no + 1);
+                               });
+            return;
+        }
+        // Retries exhausted on the direct link: the data still lives
+        // on the importer, so reroute the stripe through host memory
+        // over PCIe — the swap-in's GPU-CPU fallback rung.
+        ++ns.faults.fallbackGpuCpuSwap;
+        ns.obsData.metrics.add(mFaultFallbackSwap, engine->now(), 1.0);
+        traceFault(ns, "stripe reroute via host", key, gpu);
+        rerouteSwapInStripe(key, idx);
+    }
+
+    void
+    swapInStripeArrived(InstanceKey key)
+    {
+        if (--nsOfStage(key.ref.stage).swapTable->find(key)->remaining ==
+            0)
+            onSwapInDone(key);
     }
 
     /** Ladder reroute of one swap-in stripe via host memory: D2H on
      *  the importer, then H2D on the exporter, hopping nodes by
      *  message when the two differ. */
     void
-    rerouteSwapInStripe(std::shared_ptr<SwapInAttempt> attempt,
-                        compaction::Stripe stripe)
+    rerouteSwapInStripe(InstanceKey key, int idx)
     {
-        const int gpu = attempt->gpu;
-        if (sameNode(stripe.targetGpu, gpu)) {
-            fabric->gpuToHost(
-                stripe.targetGpu, stripe.bytes,
-                [this, attempt, stripe]() {
-                    fabric->hostToGpu(
-                        attempt->gpu, stripe.bytes,
-                        [this, attempt]() {
-                            if (--attempt->remaining == 0)
-                                onSwapInDone(attempt->key);
-                        });
+        const int gpu = gpuOf(key.ref.stage);
+        const compaction::Stripe &stripe =
+            nsOf(gpu).swapTable->find(key)
+                ->plan.stripes[static_cast<std::size_t>(idx)];
+        const int target = stripe.targetGpu;
+        const Bytes sb = stripe.bytes;
+        if (sameNode(target, gpu)) {
+            fabric->gpuToHost(target, sb, [this, key, gpu, sb]() {
+                fabric->hostToGpu(gpu, sb, [this, key]() {
+                    swapInStripeArrived(key);
                 });
+            });
             return;
         }
         const int exp_node = nodeOfGpu(gpu);
         engine->post(
-            nodeOfGpu(stripe.targetGpu),
-            [this, attempt, stripe, exp_node]() {
+            nodeOfGpu(target), [this, key, gpu, target, sb, exp_node]() {
                 fabric->gpuToHost(
-                    stripe.targetGpu, stripe.bytes,
-                    [this, attempt, stripe, exp_node]() {
-                        engine->post(
-                            exp_node,
-                            [this, attempt, stripe]() {
-                                fabric->hostToGpu(
-                                    attempt->gpu, stripe.bytes,
-                                    [this, attempt]() {
-                                        if (--attempt->remaining == 0)
-                                            onSwapInDone(
-                                                attempt->key);
-                                    });
+                    target, sb, [this, key, gpu, sb, exp_node]() {
+                        engine->post(exp_node, [this, key, gpu, sb]() {
+                            fabric->hostToGpu(gpu, sb, [this, key]() {
+                                swapInStripeArrived(key);
                             });
+                        });
                     });
             });
     }
@@ -1576,7 +1544,7 @@ struct TrainingRun
     onSwapInDone(InstanceKey key)
     {
         NodeState &ns = nsOfStage(key.ref.stage);
-        auto *rec = ns.swapTable.find(key);
+        auto *rec = ns.swapTable->find(key);
         const int gpu = gpuOf(key.ref.stage);
         if (rec->kind == Kind::GpuCpuSwap) {
             if (rec->onNvme)
@@ -1606,7 +1574,7 @@ struct TrainingRun
                 }
             }
         }
-        ns.swapTable.complete(key);
+        ns.swapTable->complete(key);
         Instance &in = inst(key);
         in.inState = InState::Done;
 
@@ -1623,14 +1591,14 @@ struct TrainingRun
             issuePrefetches(*chain);
             runBwdLayer(*chain);
         } else {
-            // Not blocked: find the chain to decrement its counter.
-            for (auto &[id, chain] : ns.bwdChains) {
-                if (chain.task->stage == key.ref.stage &&
-                    chain.task->microbatch == key.microbatch) {
-                    --chain.inflightSwapIns;
-                    issuePrefetches(chain);
-                    break;
-                }
+            // Not blocked: the stage's running chain issued this
+            // swap-in; decrement its counter.
+            BwdChain &running =
+                bwdChains[static_cast<std::size_t>(key.ref.stage)];
+            if (running.task &&
+                running.task->microbatch == key.microbatch) {
+                --running.inflightSwapIns;
+                issuePrefetches(running);
             }
         }
     }
@@ -1640,12 +1608,12 @@ struct TrainingRun
     {
         const pipeline::Task &t = *chain.task;
         NodeState &ns = nsOfStage(t.stage);
-        if (chain.next >= chain.layersRev.size()) {
-            ns.bwdChains.erase(t.id);
+        if (chain.next >= chain.numLayers) {
+            chain.task = nullptr;
             finishTask(t);
             return;
         }
-        std::size_t pos = chain.layersRev[chain.next];
+        std::size_t pos = chain.layerAt(chain.next);
         InstanceKey key{{t.stage, static_cast<int>(pos)},
                         t.microbatch};
         Instance &in = inst(key);
@@ -1656,7 +1624,7 @@ struct TrainingRun
             if (st == InState::Pending) {
                 // Prefetch window missed it (e.g. swap-out was still
                 // in flight); issue now.
-                auto *rec = ns.swapTable.find(key);
+                auto *rec = ns.swapTable->find(key);
                 if (rec && rec->state == SwapState::Resident)
                     issueSwapIn(chain, key);
             }

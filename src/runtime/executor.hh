@@ -43,9 +43,12 @@ namespace runtime {
  * callback slab and heap storage dominate a run's allocations) is
  * kept across runs and reset between them, and so is the fabric —
  * whose per-lane stream rings scale with the square of the GPU count,
- * a real cost on cluster topologies.  One arena must never be shared
- * by two live executors — the planner's SearchDriver keys one arena
- * per pool worker, which gives exclusive use by construction.
+ * a real cost on cluster topologies — and so are the swap metadata
+ * tables, whose record slots keep their stripe capacity.  A run
+ * without a caller's arena uses a fresh one of its own.  One arena
+ * must never be shared by two live executors — the planner's
+ * SearchDriver keys one arena per pool worker, which gives exclusive
+ * use by construction.
  */
 struct ExecutorArena
 {
@@ -59,6 +62,10 @@ struct ExecutorArena
      *  stable hw::Topology copy per worker for exactly this). */
     std::unique_ptr<hw::Fabric> fabric;
     const hw::Topology *fabricTopo = nullptr;
+
+    /** One swap metadata table per node, reset at the start of every
+     *  run. */
+    std::vector<compaction::SwapMetadataTable> swapTables;
 
     /** High-water shrink policy: consecutive runs whose retained
      *  slabs could hold more than twice what the run actually used.

@@ -174,8 +174,14 @@ class JsonParser
         consume('-');
         if (!std::isdigit(static_cast<unsigned char>(peek())))
             return fail("bad number");
-        while (std::isdigit(static_cast<unsigned char>(peek())))
-            ++_pos;
+        // int = zero / (digit1-9 *DIGIT): no leading zeros.
+        if (consume('0')) {
+            if (std::isdigit(static_cast<unsigned char>(peek())))
+                return fail("bad number");
+        } else {
+            while (std::isdigit(static_cast<unsigned char>(peek())))
+                ++_pos;
+        }
         if (consume('.')) {
             if (!std::isdigit(static_cast<unsigned char>(peek())))
                 return fail("bad fraction");

@@ -107,6 +107,33 @@ TEST(CliExitCodes, UsageErrorsExit1)
     EXPECT_EQ(runCli("--topology dgx9").exitCode, 1);
     EXPECT_EQ(runCli("--threads 0").exitCode, 1);      // parses, invalid
     EXPECT_EQ(runCli("--deadline-ms -1").exitCode, 1); // parses, invalid
+
+    // A robustness matrix or a sweep writes its own report, never a
+    // run's trace or metrics, so either output flag is refused there.
+    // The specs are valid: without the output flags both modes run.
+    const std::string dir = ::testing::TempDir() + "cli_usage_";
+    std::ofstream(dir + "matrix.json")
+        << R"({"scenarios":[{"name":"slow","seed":1,"events":[)"
+           R"({"type":"gpu-straggle","start_ms":0,"end_ms":1000,)"
+           R"("gpu":0,"factor":0.5}]}]})";
+    std::ofstream(dir + "sweep.json")
+        << R"({"scenarios":[{"model":"bert-0.35b",)"
+           R"("strategy":"recompute","minibatches":1,"mbPerMini":2}]})";
+    const std::string robustness =
+        "--model bert-0.35b --minibatches 1 --mb-per-mini 2"
+        " --robustness " + dir + "matrix.json";
+    const std::string sweep = "--sweep " + dir + "sweep.json";
+    for (const std::string &mode : {robustness, sweep}) {
+        for (const char *flag : {" --timeline ", " --metrics "}) {
+            RunResult res = runCli(mode + flag + dir + "out.json");
+            EXPECT_EQ(res.exitCode, 1) << mode << flag << res.output;
+            EXPECT_NE(res.output.find("do not combine"),
+                      std::string::npos)
+                << res.output;
+        }
+    }
+    std::remove((dir + "matrix.json").c_str());
+    std::remove((dir + "sweep.json").c_str());
 }
 
 TEST(CliExitCodes, WellFormedRunExits0)

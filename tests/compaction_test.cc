@@ -257,3 +257,41 @@ TEST(Metadata, DistinguishesMicrobatches)
     EXPECT_NE(table.find({{0, 5}, 1}), nullptr);
     EXPECT_EQ(table.find({{0, 5}, 0}), nullptr);
 }
+
+TEST(Metadata, RecyclesSlotsAndKeepsRecordsInPlace)
+{
+    cp::SwapMetadataTable table;
+    table.reset(4, 8);
+    cp::StripePlan plan;
+    plan.stripes.push_back({3, 600, 2});
+    plan.stripes.push_back({4, 400, 2});
+    cp::SwapRecord *first =
+        &table.beginSwapOut({{0, 1}, 2}, cp::Kind::D2dSwap, plan, 1000);
+    // Later swap-outs, even ones that widen the index, never move a
+    // live record.
+    for (int mb = 0; mb < 8; ++mb)
+        table.beginSwapOut({{1, 3}, mb}, cp::Kind::GpuCpuSwap, {}, 10);
+    table.beginSwapOut({{2, 9}, 11}, cp::Kind::GpuCpuSwap, {}, 10);
+    EXPECT_EQ(table.find({{0, 1}, 2}), first);
+    EXPECT_EQ(first->plan.stripes.size(), 2u);
+    EXPECT_EQ(table.size(), 10u);
+
+    // A retired slot goes to the next swap-out, stripe capacity kept.
+    const cp::Stripe *stripes = first->plan.stripes.data();
+    table.complete({{0, 1}, 2});
+    EXPECT_EQ(table.find({{0, 1}, 2}), nullptr);
+    cp::SwapRecord &next =
+        table.beginSwapOut({{0, 2}, 0}, cp::Kind::D2dSwap, 500);
+    EXPECT_EQ(&next, first);
+    EXPECT_TRUE(next.plan.stripes.empty());
+    next.plan.stripes.push_back({5, 500, 1});
+    EXPECT_EQ(next.plan.stripes.data(), stripes);
+
+    // reset() retires everything and hands the slots out again in
+    // creation order.
+    table.reset(4, 8);
+    EXPECT_TRUE(table.empty());
+    EXPECT_EQ(table.find({{1, 3}, 0}), nullptr);
+    EXPECT_EQ(&table.beginSwapOut({{3, 0}, 7}, cp::Kind::GpuCpuSwap, 1),
+              first);
+}

@@ -102,6 +102,7 @@ operator delete[](void *p, const std::nothrow_t &) noexcept
     std::free(p);
 }
 
+#include "bench/common.hh"
 #include "cluster/cluster.hh"
 #include "compaction/serialize.hh"
 #include "fault/scenario.hh"
@@ -706,6 +707,81 @@ TEST(WorkerArena, SteadyStateHoldsOnTwoNodeCluster)
     EXPECT_LT(warm1, cold);
     EXPECT_LE(warm2, warm1);
     EXPECT_LE(warm3, warm2);
+}
+
+namespace {
+
+/** Heap allocations of one warm trial of @p plan: the executor run
+ *  an uncached SearchDriver trial makes on its worker arena.  The
+ *  first run builds the arena's engine and fabric, the second is
+ *  counted.  The driver's verifyPlan() call is left out: it walks
+ *  every task, so its allocations grow with the window by design. */
+std::uint64_t
+warmTrialAllocations(const hw::Topology &topo,
+                     const mm::TransformerModel &mdl,
+                     const mp::Partition &part, const pl::Schedule &sched,
+                     const cp::CompactionPlan &plan,
+                     rt::TrainingReport *report)
+{
+    rt::ExecutorArena arena;
+    rt::ExecutorConfig cfg;
+    cfg.arena = &arena;
+    rt::runTraining(topo, mdl, part, sched, plan, cfg);
+    std::uint64_t before = g_alloc_calls.load(std::memory_order_relaxed);
+    *report = rt::runTraining(topo, mdl, part, sched, plan, cfg);
+    return g_alloc_calls.load(std::memory_order_relaxed) - before;
+}
+
+} // namespace
+
+TEST(WorkerArena, SwapPlanAllocationsDoNotGrowWithWindow)
+{
+    // Every planner trial runs the executor's swap path, so a warm
+    // trial must allocate for its set-up only, never per swap, stripe
+    // or backward task: replaying twice the minibatches of the same
+    // plan makes exactly as many heap allocations.
+    {
+        // The DGX-2 switch-fabric plan: D2D swap-out from stages 0-1
+        // over 12-lane stripes, GPU-CPU swap on stages 2-3.
+        mpress::bench::SwitchFabricJob job;
+        rt::TrainingReport two, four;
+        std::uint64_t at2 = warmTrialAllocations(
+            job.topo, job.mdl, job.part, job.sched, job.plan, &two);
+        pl::Schedule longer =
+            pl::buildSchedule(pl::SystemKind::Dapple, 8, 16, 4);
+        std::uint64_t at4 = warmTrialAllocations(
+            job.topo, job.mdl, job.part, longer, job.plan, &four);
+        ASSERT_FALSE(two.oom);
+        ASSERT_FALSE(four.oom);
+        EXPECT_GT(two.savings.d2dSwap, 0);
+        EXPECT_GT(two.savings.gpuCpuSwap, 0);
+        EXPECT_EQ(at4, at2) << "switch-fabric plan";
+    }
+    {
+        // A DGX-1 PipeDream plan that GPU-CPU-swaps every layer and
+        // offloads every stage's weight stash: the stage-to-stage
+        // hand-offs pick from the pair-lane pools and every backward
+        // task fetches its weight version from the host.
+        hw::Topology topo = hw::Topology::dgx1V100();
+        mm::TransformerModel mdl(mm::presetByName("bert-0.35b"), 12);
+        mp::Partition part =
+            mp::partitionModel(mdl, 8, mp::Strategy::ComputeBalanced);
+        cp::CompactionPlan plan = swapAll(part);
+        plan.offloadWeightStash.assign(8, true);
+        rt::TrainingReport two, four;
+        std::uint64_t at2 = warmTrialAllocations(
+            topo, mdl, part,
+            pl::buildSchedule(pl::SystemKind::PipeDream, 8, 8, 2), plan,
+            &two);
+        std::uint64_t at4 = warmTrialAllocations(
+            topo, mdl, part,
+            pl::buildSchedule(pl::SystemKind::PipeDream, 8, 8, 4), plan,
+            &four);
+        ASSERT_FALSE(two.oom);
+        ASSERT_FALSE(four.oom);
+        EXPECT_GT(two.savings.gpuCpuSwap, 0);
+        EXPECT_EQ(at4, at2) << "PipeDream stash-offload plan";
+    }
 }
 
 TEST(TrialCache, PlanResultReportsCacheCounters)

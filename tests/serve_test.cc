@@ -92,6 +92,10 @@ TEST(ServeProtocol, TypedErrorsForHostileInput)
     EXPECT_EQ(errorKind(h.call("not json")), "parse-error");
     // Truncated document.
     EXPECT_EQ(errorKind(h.call("{\"op\":\"ping\"")), "parse-error");
+    // A leading zero is not JSON.
+    EXPECT_EQ(
+        errorKind(h.call("{\"op\":\"plan\",\"microbatch\":012}")),
+        "parse-error");
     // Valid JSON, wrong shape.
     EXPECT_EQ(errorKind(h.call("[1,2,3]")), "bad-request");
     EXPECT_EQ(errorKind(h.call("{\"op\":\"explode\"}")),

@@ -204,6 +204,18 @@ TEST(JsonParse, RejectsMalformedInput)
     auto bad = mu::jsonParse("[1, }");
     EXPECT_FALSE(bad.ok);
     EXPECT_FALSE(bad.error.empty());
+    // RFC 8259 numbers have no leading zeros; a lone zero is fine.
+    for (const char *text : {"01", "-01", "{\"a\":00}", "[007]",
+                             "00.5"}) {
+        auto doc = mu::jsonParse(text);
+        EXPECT_FALSE(doc.ok) << text;
+        EXPECT_NE(doc.error.find("bad number"), std::string::npos)
+            << text;
+    }
+    for (const char *text : {"0", "-0", "0.5", "0e3", "-0.0", "10"}) {
+        auto doc = mu::jsonParse(text);
+        EXPECT_TRUE(doc.ok) << text << ": " << doc.error;
+    }
 }
 
 TEST(JsonParse, SubnormalNumbersParseAndOverflowFails)

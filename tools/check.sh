@@ -302,7 +302,10 @@ if [ "$run_perf" = 1 ]; then
     # event", not single-digit regressions, and must not flake on a
     # loaded CI box.  The switch-fabric iteration's event count is
     # exact on any host, so it gets an exact gate: more events than
-    # committed means per-lane transfer events came back.  The node
+    # committed means per-lane transfer events came back.  Its
+    # allocs_per_run, the heap allocations of one warm replay, is exact
+    # too: more than committed means the executor's swap path (or its
+    # set-up) allocates again.  The node
     # ring's window count is exact too, and windows decide where a
     # multi-node stop lands, so it must equal the committed count.  The
     # mapping scan's placement count is exact as well: more placements
@@ -341,12 +344,13 @@ for name in ("BM_EventQueue/100000", "BM_EventChainSteady/64"):
         print("%-28s allocs/event %.3f > 0.01 FAIL" % (name, ape))
         failed = True
 name = "BM_FullIterationSwitchFabric"
-want = base[name]["events_per_run"]
-got = fresh[name]["events_per_run"]
-status = "ok" if got <= want else "REGRESSED"
-print("%-28s %8d events/run vs baseline %8d %s"
-      % (name, got, want, status))
-failed = failed or got > want
+for counter in ("events_per_run", "allocs_per_run"):
+    want = base[name][counter]
+    got = fresh[name][counter]
+    status = "ok" if got <= want else "REGRESSED"
+    print("%-28s %8d %s vs baseline %8d %s"
+          % (name, got, counter.replace("_per_", "/"), want, status))
+    failed = failed or got > want
 for name in ("BM_NodeWindows/2", "BM_NodeWindows/8"):
     want = base[name]["windows_per_run"]
     got = fresh[name]["windows_per_run"]
@@ -362,9 +366,9 @@ print("%-28s %8d placements vs baseline %8d %s"
       % (name, got, want, status))
 failed = failed or got > want
 if failed:
-    sys.exit("perf smoke failed: event queue slower, more events, "
-             "other windows or more placements than baseline - "
-             "investigate before updating BENCH_sim.json")
+    sys.exit("perf smoke failed: event queue slower, more events or "
+             "allocations, other windows or more placements than "
+             "baseline - investigate before updating BENCH_sim.json")
 EOF
 
     echo "== planner search smoke (Release + IPO) =="
