@@ -4,7 +4,9 @@
  * The point of comparison is BM_EmulatedIteration: verification has
  * to be cheap relative to a single emulated training iteration so
  * that verify-on-load and per-refinement verification inside the
- * planner are effectively free.
+ * planner are effectively free.  BM_CheckPlannerPlan is what a
+ * planner trial pays: the plan rules of a PlanVerifier that checked
+ * the job's schedule once, outside the loop.
  */
 
 #include <benchmark/benchmark.h>
@@ -74,6 +76,21 @@ BM_VerifyPlannerPlan(benchmark::State &state)
     }
 }
 BENCHMARK(BM_VerifyPlannerPlan);
+
+static void
+BM_CheckPlannerPlan(benchmark::State &state)
+{
+    // The same plan through the per-trial path of the search driver.
+    Fixture fx("bert-1.67b", 8, 8);
+    auto planned = pn::planMPress(fx.topo, fx.mdl, fx.part,
+                                  fx.sched, {});
+    vf::PlanVerifier verifier(fx.topo, fx.mdl, fx.part, fx.sched);
+    for (auto _ : state) {
+        auto report = verifier.check(planned.plan);
+        benchmark::DoNotOptimize(report.warningCount());
+    }
+}
+BENCHMARK(BM_CheckPlannerPlan);
 
 static void
 BM_VerifyScheduleOnly(benchmark::State &state)

@@ -119,15 +119,6 @@ emulate(const hw::Topology &topo, const model::TransformerModel &mdl,
                                 exec_cfg);
 }
 
-/** Verifier options consistent with the emulator's capacity model. */
-verify::Options
-verifierOptions(const runtime::ExecutorConfig &exec_cfg)
-{
-    verify::Options opts;
-    opts.memOverheadFactor = exec_cfg.memOverheadFactor;
-    return opts;
-}
-
 /** Analysis certificate of @p plan, consistent with the emulator's
  *  capacity and swap-lookahead model. */
 analysis::AnalysisCertificate
@@ -360,9 +351,7 @@ planMPress(const hw::Topology &topo,
         result.plan = std::move(plan);
         result.finalReport = std::move(current);
         result.feasible = false;
-        result.verification = verify::verifyPlan(
-            topo, mdl, part, sched, result.plan,
-            verifierOptions(exec_cfg));
+        result.verification = driver.verifier().check(result.plan);
         result.certificate = certify(topo, mdl, part, sched,
                                      result.plan, exec_cfg);
         record_search_stats();
@@ -448,9 +437,7 @@ planMPress(const hw::Topology &topo,
     result.winnerStrategy = race.winner;
     result.strategyStats = std::move(race.stats);
     result.feasible = true;
-    result.verification = verify::verifyPlan(
-        topo, mdl, part, sched, result.plan,
-        verifierOptions(exec_cfg));
+    result.verification = driver.verifier().check(result.plan);
     result.certificate = certify(topo, mdl, part, sched, result.plan,
                                  exec_cfg);
     record_search_stats();

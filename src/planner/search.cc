@@ -230,6 +230,7 @@ SearchDriver::SearchDriver(const hw::Topology &topo,
     : _topo(topo), _mdl(mdl), _part(part), _sched(sched),
       _execCfg(exec_cfg), _pool(pool),
       _workerArenas(static_cast<std::size_t>(pool.threads())),
+      _verifier(topo, mdl, part, sched, verifierOptions(exec_cfg)),
       _jobKey(jobKeyFor(topo, mdl, part, sched))
 {
     // Every trial is a scoring run, never a profiling or recorded
@@ -259,8 +260,8 @@ SearchDriver::workerArena()
     // duration of a batch, and the arena vector itself is sized in
     // the ctor, so no synchronization is needed.  The state is built
     // once per worker and reused across all its trials: the executor
-    // and the verifier only read the topology, and the executor
-    // rewinds the arena engine before each run.
+    // only reads the topology, and it rewinds the arena engine before
+    // each run.
     auto w =
         static_cast<std::size_t>(util::ThreadPool::currentWorker());
     WorkerArena &slot = _workerArenas[w];
@@ -350,17 +351,8 @@ SearchDriver::evaluate(
 {
     std::vector<TrialOutcome> out(trials.size());
     _pool.parallelFor(trials.size(), [&](std::size_t i) {
-        // Per-worker topology arena: the executor and the verifier
-        // read the topology heavily, and an engine must never share
-        // state with a concurrent one — but trials on the same worker
-        // can reuse one copy.
         out[i].report = cachedRun(trials[i], _execCfg, "");
-        verify::Options opts;
-        opts.memOverheadFactor = _execCfg.memOverheadFactor;
-        out[i].verified =
-            verify::verifyPlan(*workerArena().topo, _mdl, _part,
-                               _sched, trials[i], opts)
-                .ok();
+        out[i].verified = _verifier.check(trials[i]).ok();
     });
     return out;
 }
@@ -452,6 +444,14 @@ SearchDriver::pickBest(const std::vector<TrialOutcome> &outcomes,
         }
     }
     return best;
+}
+
+verify::Options
+verifierOptions(const runtime::ExecutorConfig &exec_cfg)
+{
+    verify::Options opts;
+    opts.memOverheadFactor = exec_cfg.memOverheadFactor;
+    return opts;
 }
 
 std::map<int, Bytes>

@@ -17,11 +17,13 @@
  * config, scenario id), with the full key bytes stored to make hash
  * collisions harmless.  Repeated plan variants across
  * flip-batch ladders, coarse-variant batches and robustness replays
- * return the cached TrainingReport instead of re-emulating; static
- * verification still runs per trial (it is ~25x cheaper than an
- * emulation and keeps the verified flag trustworthy).  The cache is
- * invisible in the output by construction — a hit returns exactly
- * what the skipped run would have produced.
+ * return the cached TrainingReport instead of re-emulating.  The cache
+ * is invisible in the output by construction — a hit returns exactly
+ * what the skipped run would have produced.  Static verification runs
+ * on every trial, hit or miss, through one verify::PlanVerifier per
+ * driver: the job's schedule is checked once, when the driver is
+ * built, and a trial pays only for its plan rules (a few
+ * microseconds), so its verified flag equals verifyPlan(...).ok().
  *
  * Determinism contract: evaluate() returns outcomes in trial order
  * regardless of scheduling, and pickBest() breaks ties by the fixed
@@ -283,6 +285,10 @@ class SearchDriver
         return _execCfg;
     }
 
+    /** The verifier every trial goes through; its check() equals
+     *  verifyPlan() with verifierOptions(trialConfig()). */
+    const verify::PlanVerifier &verifier() const { return _verifier; }
+
     /** Content key of a fault scenario (name, seed, every event
      *  field) for robustness-replay memoization. */
     static std::string scenarioKey(const fault::Scenario &scenario);
@@ -324,10 +330,14 @@ class SearchDriver
     util::ThreadPool &_pool;
 
     /** One lazily-built arena per pool worker, reused across every
-     *  trial that worker runs (runTraining and verifyPlan only read
-     *  the topology; the executor rewinds the engine).  Replaces the
-     *  per-trial hw::Topology copy and the per-trial engine slabs. */
+     *  trial that worker runs (runTraining only reads the topology;
+     *  the executor rewinds the engine).  Replaces the per-trial
+     *  hw::Topology copy and the per-trial engine slabs. */
     std::vector<WorkerArena> _workerArenas;
+
+    /** Checked the job's schedule at construction; shared by every
+     *  worker (check() is const). */
+    verify::PlanVerifier _verifier;
 
     std::string _jobKey;
 
@@ -337,6 +347,9 @@ class SearchDriver
     std::atomic<std::uint64_t> _cacheHits{0};
     std::atomic<std::uint64_t> _cacheMisses{0};
 };
+
+/** Verifier options consistent with the emulator's capacity model. */
+verify::Options verifierOptions(const runtime::ExecutorConfig &exec_cfg);
 
 /** One refinement flip candidate as seen by the budget gate. */
 struct FlipCandidate

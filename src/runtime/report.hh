@@ -104,7 +104,7 @@ struct ShardStat
     int shard = 0;                ///< always 0: every run has one engine
     std::uint64_t events = 0;     ///< events executed
     std::uint64_t poolSlots = 0;  ///< callback-slab high water
-    std::uint64_t queuePeak = 0;  ///< event-heap high water
+    std::uint64_t queuePeak = 0;  ///< event-queue high water
 };
 
 /**

@@ -36,10 +36,29 @@ Engine::pushEntry(Tick when, std::uint64_t seq, std::uint32_t node)
                     static_cast<long long>(_now));
     }
     std::uint32_t slot = acquireSlot();
-    _heap.push_back(HeapEntry{when, seq, slot, node});
-    std::push_heap(_heap.begin(), _heap.end(), later);
-    if (_heap.size() > _heapPeak)
-        _heapPeak = _heap.size();
+    const QueueEntry ev{when, seq, slot, node};
+    // Before the vector would grow, drop the consumed prefix if it is
+    // at least as long as the pending run.  Storage then stays within
+    // four times the peak depth, and a compaction moves no more
+    // entries than were popped since the last one (amortized O(1)).
+    const std::size_t depth = _queue.size() - _head;
+    if (_queue.size() == _queue.capacity() && _head >= depth) {
+        _queue.erase(_queue.begin(),
+                     _queue.begin() + static_cast<std::ptrdiff_t>(_head));
+        _head = 0;
+    }
+    _queue.push_back(ev);
+    // Walk back from the tail past the events that run after @p ev,
+    // shifting each up a place.
+    QueueEntry *first = _queue.data() + _head;
+    QueueEntry *pos = _queue.data() + _queue.size() - 1;
+    while (pos != first && later(pos[-1], ev)) {
+        *pos = pos[-1];
+        --pos;
+    }
+    *pos = ev;
+    if (depth + 1 > _queuePeak)
+        _queuePeak = depth + 1;
     return slot;
 }
 
@@ -73,22 +92,19 @@ Engine::partition(int nodes, Tick lookahead)
                     nodes, static_cast<long long>(lookahead));
     // Pending events and the running node name nodes of the old
     // partition.
-    if (!_heap.empty())
+    if (!empty())
         util::panic("engine partition with %zu events pending",
-                    _heap.size());
+                    queueDepth());
     _node = 0;
     _stopped.assign(static_cast<std::size_t>(nodes), 0);
     _lookahead = lookahead;
     _horizon = nodes > 1 ? 0 : kNoHorizon;
 }
 
-Engine::HeapEntry
-Engine::popTop()
+Engine::QueueEntry
+Engine::popFront()
 {
-    std::pop_heap(_heap.begin(), _heap.end(), later);
-    HeapEntry ev = _heap.back();
-    _heap.pop_back();
-    return ev;
+    return _queue[_head++];
 }
 
 void
@@ -120,8 +136,8 @@ Engine::run()
 {
     _stopping = false;
     std::fill(_stopped.begin(), _stopped.end(), 0);
-    while (!_heap.empty()) {
-        HeapEntry ev = popTop();
+    while (!empty()) {
+        QueueEntry ev = popFront();
         if (ev.when >= _horizon) {
             _horizon = ev.when + _lookahead;
             ++_windows;
@@ -140,8 +156,8 @@ Engine::run()
 void
 Engine::finishWindow()
 {
-    while (!_heap.empty() && _heap.front().when < _horizon) {
-        HeapEntry ev = popTop();
+    while (!empty() && _queue[_head].when < _horizon) {
+        QueueEntry ev = popFront();
         if (_stopped[ev.node]) {
             release(ev.slot);
             continue;
@@ -156,20 +172,21 @@ void
 Engine::reset()
 {
     // Destroy pending callbacks (they may own resources) but keep the
-    // slab chunks and the heap vector's capacity: a reset engine
+    // slab chunks and the queue vector's capacity: a reset engine
     // replays its next simulation at the old high-water mark without
     // a single allocation, which is what makes per-worker executor
     // arenas worth reusing across planner trials.
-    for (const HeapEntry &ev : _heap)
-        slotRef(ev.slot).fn = nullptr;
-    _heap.clear();
+    for (std::size_t i = _head; i < _queue.size(); ++i)
+        slotRef(_queue[i].slot).fn = nullptr;
+    _queue.clear();
+    _head = 0;
     _slotCount = 0;
     _freeHead = kNoSlot;
     _now = 0;
     _node = 0;
     _nextSeq = kLocalSeqBase;
     _nextMsgSeq = 0;
-    _heapPeak = 0;
+    _queuePeak = 0;
     _eventsExecuted = 0;
     _horizon = nodes() > 1 ? 0 : kNoHorizon;
     _windows = 0;
@@ -179,15 +196,17 @@ Engine::reset()
 void
 Engine::shrink()
 {
-    if (!_heap.empty())
+    if (!empty())
         util::panic("Engine::shrink() with %zu events pending",
-                    _heap.size());
+                    queueDepth());
     _chunks.clear();
     _chunks.shrink_to_fit();
-    _heap.shrink_to_fit();
+    _queue.clear();
+    _queue.shrink_to_fit();
+    _head = 0;
     _slotCount = 0;
     _freeHead = kNoSlot;
-    _heapPeak = 0;
+    _queuePeak = 0;
 }
 
 } // namespace sim

@@ -631,6 +631,27 @@ checkOrderHazards(const Schedule &sched, Report &report, bool strict)
     }
 }
 
+/**
+ * Every schedule-only rule.  Returns true when the structure is sane
+ * enough for the plan rules to index into the schedule; sets
+ * @p deps_sound when, in addition, every dependency id resolves.
+ */
+bool
+checkSchedule(const Schedule &sched, Report &report, bool strict,
+              bool *deps_sound)
+{
+    *deps_sound = false;
+    if (!checkScheduleStructure(sched, report, strict))
+        return false;
+    *deps_sound = checkDepRanges(sched, report, strict);
+    TaskTables tables(sched);
+    checkTaskCompleteness(sched, tables, report, strict);
+    checkOrderHazards(sched, report, strict);
+    if (*deps_sound)
+        checkAcyclicity(sched, report, strict);
+    return true;
+}
+
 /** Resolve the GPU hosting @p stage, assuming the mapping already
  *  passed shape/range checks. */
 int
@@ -705,39 +726,36 @@ checkMapping(const hw::Topology &topo, const Schedule &sched,
 }
 
 /** Cross-stage dependency edges that have no direct NVLink path under
- *  the mapping (the transfer bounces through host memory). */
+ *  the mapping (the transfer bounces through host memory), one
+ *  finding per GPU pair at its first edge.  An edge's GPU pair depends
+ *  only on its stage pair, so @p edges, the first edge of each stage
+ *  pair in task and dependency order, flag what every edge would. */
 void
-checkFabricPaths(const hw::Topology &topo, const Schedule &sched,
+checkFabricPaths(const hw::Topology &topo,
+                 const std::vector<PlanVerifier::StageEdge> &edges,
                  const CompactionPlan &plan, Report &report,
                  bool strict)
 {
     std::set<std::pair<int, int>> flagged;
-    for (const Task &t : sched.tasks) {
-        for (int dep : t.deps) {
-            const Task &d = sched.tasks[static_cast<std::size_t>(dep)];
-            if (d.stage == t.stage)
-                continue;
-            int a = gpuForStage(plan, d.stage);
-            int b = gpuForStage(plan, t.stage);
-            // pathLanes accepts NIC paths too: a cross-node stage
-            // boundary is a real (if slower) direct path, not a
-            // host bounce.
-            if (a == b || topo.pathLanes(a, b) > 0)
-                continue;
-            if (!flagged.emplace(std::min(a, b), std::max(a, b))
-                     .second)
-                continue;
-            Finding(report, strict, Rule::SchedFabricPath)
-                .stage(t.stage)
-                .gpu(b)
-                .task(t.id)
-                .msg(strformat("stages %d->%d mapped to GPUs %d->%d"
-                               " with no direct NVLink",
-                               d.stage, t.stage, a, b))
-                .hint("every boundary transfer bounces through host"
-                      " memory over PCIe; prefer a mapping that keeps"
-                      " consecutive stages NVLink-adjacent");
-        }
+    for (const PlanVerifier::StageEdge &e : edges) {
+        int a = gpuForStage(plan, e.from);
+        int b = gpuForStage(plan, e.to);
+        // pathLanes accepts NIC paths too: a cross-node stage boundary
+        // is a real (if slower) direct path, not a host bounce.
+        if (a == b || topo.pathLanes(a, b) > 0)
+            continue;
+        if (!flagged.emplace(std::min(a, b), std::max(a, b)).second)
+            continue;
+        Finding(report, strict, Rule::SchedFabricPath)
+            .stage(e.to)
+            .gpu(b)
+            .task(e.task)
+            .msg(strformat("stages %d->%d mapped to GPUs %d->%d"
+                           " with no direct NVLink",
+                           e.from, e.to, a, b))
+            .hint("every boundary transfer bounces through host"
+                  " memory over PCIe; prefer a mapping that keeps"
+                  " consecutive stages NVLink-adjacent");
     }
 }
 
@@ -1223,73 +1241,78 @@ Report
 verifySchedule(const Schedule &sched)
 {
     Report report;
-    const bool strict = false;
-    if (!checkScheduleStructure(sched, report, strict))
-        return report;
-    bool deps_sound = checkDepRanges(sched, report, strict);
-    TaskTables tables(sched);
-    checkTaskCompleteness(sched, tables, report, strict);
-    checkOrderHazards(sched, report, strict);
-    if (deps_sound)
-        checkAcyclicity(sched, report, strict);
+    bool deps_sound;
+    checkSchedule(sched, report, false, &deps_sound);
     return report;
 }
 
-Report
-verifyPlan(const hw::Topology &topo,
-           const model::TransformerModel &mdl,
-           const partition::Partition &part, const Schedule &sched,
-           const CompactionPlan &plan, const Options &opts)
+PlanVerifier::PlanVerifier(const hw::Topology &topo,
+                           const model::TransformerModel &mdl,
+                           const partition::Partition &part,
+                           const Schedule &sched, const Options &opts)
+    : _topo(topo), _mdl(mdl), _part(part), _sched(sched), _opts(opts)
 {
-    Report report;
-    report.setPerRuleCap(opts.maxDiagsPerRule);
-    const bool strict = opts.strict;
-
-    bool structure_ok =
-        checkScheduleStructure(sched, report, strict);
-    bool deps_sound = false;
-    if (structure_ok) {
-        deps_sound = checkDepRanges(sched, report, strict);
-        TaskTables tables(sched);
-        checkTaskCompleteness(sched, tables, report, strict);
-        checkOrderHazards(sched, report, strict);
-        if (deps_sound)
-            checkAcyclicity(sched, report, strict);
+    _jobReport.setPerRuleCap(opts.maxDiagsPerRule);
+    _structureOk =
+        checkSchedule(sched, _jobReport, opts.strict, &_depsSound);
+    if (_depsSound) {
+        const auto stages = static_cast<std::size_t>(sched.numStages);
+        std::vector<char> seen(stages * stages, 0);
+        for (const Task &t : sched.tasks) {
+            for (int dep : t.deps) {
+                int from =
+                    sched.tasks[static_cast<std::size_t>(dep)].stage;
+                char &pair = seen[static_cast<std::size_t>(from) * stages +
+                                  static_cast<std::size_t>(t.stage)];
+                if (from != t.stage && !pair) {
+                    pair = 1;
+                    _stageEdges.push_back({from, t.stage, t.id});
+                }
+            }
+        }
     }
-
-    if (part.numStages() != sched.numStages) {
-        Finding(report, strict, Rule::CfgShape)
+    _stagesAgree = part.numStages() == sched.numStages;
+    if (!_stagesAgree) {
+        Finding(_jobReport, opts.strict, Rule::CfgShape)
             .msg(strformat("partition has %d stages, schedule %d",
                            part.numStages(), sched.numStages))
             .hint("partition and schedule must agree on pipeline"
                   " depth");
-        return report;
     }
+}
 
-    checkConfigShape(part, sched, plan, report, strict);
-    checkSwapAssignments(topo, mdl, part, plan, report, strict);
+Report
+PlanVerifier::check(const CompactionPlan &plan) const
+{
+    Report report = _jobReport;
+    if (!_stagesAgree)
+        return report;
+    const bool strict = _opts.strict;
+
+    checkConfigShape(_part, _sched, plan, report, strict);
+    checkSwapAssignments(_topo, _mdl, _part, plan, report, strict);
 
     bool mapping_ok =
-        checkMapping(topo, sched, plan, report, strict);
-    if (!mapping_ok || !structure_ok)
+        checkMapping(_topo, _sched, plan, report, strict);
+    if (!mapping_ok || !_structureOk)
         return report;
 
-    if (deps_sound)
-        checkFabricPaths(topo, sched, plan, report, strict);
+    if (_depsSound)
+        checkFabricPaths(_topo, _stageEdges, plan, report, strict);
 
     const Bytes capacity = static_cast<Bytes>(
-        static_cast<double>(topo.gpu().memCapacity) /
-        opts.memOverheadFactor);
+        static_cast<double>(_topo.gpu().memCapacity) /
+        _opts.memOverheadFactor);
     CapacityProjection proj =
-        projectCapacity(topo, mdl, part, sched, plan);
-    checkCapacity(topo, part, plan, proj, capacity, report, strict);
-    checkGrants(topo, part, plan, proj, capacity, report, strict);
+        projectCapacity(_topo, _mdl, _part, _sched, plan);
+    checkCapacity(_topo, _part, plan, proj, capacity, report, strict);
+    checkGrants(_topo, _part, plan, proj, capacity, report, strict);
 
-    if (opts.analysis) {
+    if (_opts.analysis) {
         analysis::AnalysisOptions aopts;
-        aopts.memOverheadFactor = opts.memOverheadFactor;
+        aopts.memOverheadFactor = _opts.memOverheadFactor;
         analysis::AnalysisCertificate cert = analysis::analyzePlan(
-            topo, mdl, part, sched, plan, aopts);
+            _topo, _mdl, _part, _sched, plan, aopts);
         // Invalid certificates carry no provable facts; the
         // structural rules above already flagged why.
         for (const analysis::GpuMemoryBound &b : cert.gpus) {
@@ -1323,6 +1346,15 @@ verifyPlan(const hw::Topology &topo,
         }
     }
     return report;
+}
+
+Report
+verifyPlan(const hw::Topology &topo,
+           const model::TransformerModel &mdl,
+           const partition::Partition &part, const Schedule &sched,
+           const CompactionPlan &plan, const Options &opts)
+{
+    return PlanVerifier(topo, mdl, part, sched, opts).check(plan);
 }
 
 namespace {

@@ -229,7 +229,7 @@ class Report
     /** One-line summary, e.g. "2 errors, 1 warning". */
     std::string summary() const;
 
-    /** Used by verifyPlan() to honor Options::maxDiagsPerRule. */
+    /** Used by the verifiers to honor Options::maxDiagsPerRule. */
     void setPerRuleCap(int cap) { _perRuleCap = cap; }
 
   private:
@@ -248,6 +248,57 @@ class Report
 Report verifySchedule(const pipeline::Schedule &sched);
 
 /**
+ * Verifies many plans of one job, checking the job's schedule once.
+ *
+ * The schedule rules (sched-shape, sched-missing-task,
+ * sched-missing-dep, sched-dep-range, sched-cycle, sched-order-hazard)
+ * and the partition/schedule depth check read only the job and the
+ * strictness, so the constructor runs them; it also collects the
+ * cross-stage dependency edges that sched-fabric-path maps onto GPUs.
+ * check() adds the plan rules and yields exactly verifyPlan()'s
+ * report.  A planner search builds one verifier and its workers call
+ * check() concurrently: it is const and shares nothing mutable.  The
+ * job objects are borrowed and must outlive the verifier.
+ */
+class PlanVerifier
+{
+  public:
+    PlanVerifier(const hw::Topology &topo,
+                 const model::TransformerModel &mdl,
+                 const partition::Partition &part,
+                 const pipeline::Schedule &sched,
+                 const Options &opts = {});
+
+    /** The job's findings followed by @p plan's. */
+    Report check(const compaction::CompactionPlan &plan) const;
+
+    /** A cross-stage dependency edge: task `task` on stage `to`
+     *  depends on a task of stage `from`. */
+    struct StageEdge
+    {
+        int from;
+        int to;
+        int task;
+    };
+
+  private:
+    const hw::Topology &_topo;
+    const model::TransformerModel &_mdl;
+    const partition::Partition &_part;
+    const pipeline::Schedule &_sched;
+    Options _opts;
+    /** The findings on the job alone; every check() starts from a
+     *  copy. */
+    Report _jobReport;
+    bool _structureOk = false;
+    bool _depsSound = false;
+    bool _stagesAgree = false;
+    /** First edge of each (from, to) stage pair, in task and
+     *  dependency order (only with sound dependencies). */
+    std::vector<StageEdge> _stageEdges;
+};
+
+/**
  * Verify a complete execution tuple before running it.
  *
  * Checks everything verifySchedule() checks, then the device mapping
@@ -255,6 +306,7 @@ Report verifySchedule(const pipeline::Schedule &sched);
  * per-GPU budget, D2D spare-grant soundness, swap hazards, and config
  * shape.  Analyses that depend on broken structure (e.g. capacity on
  * an inconsistent mapping) are skipped rather than run on garbage.
+ * Same as PlanVerifier(topo, mdl, part, sched, opts).check(plan).
  */
 Report verifyPlan(const hw::Topology &topo,
                   const model::TransformerModel &mdl,

@@ -25,14 +25,16 @@
 // assertions below count operator-new calls across driver
 // evaluations.  Counting is exact, not sampled — replacement of the
 // global operators is per-binary, which is why these tests live in
-// their own test executable.
+// their own test executable.  The replacements are out of line:
+// inlined, GCC 12 reports their malloc/free pairs as
+// -Wmismatched-new-delete.
 // ---------------------------------------------------------------
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_calls{0};
 } // namespace
 
-void *
+[[gnu::noinline]] void *
 operator new(std::size_t n)
 {
     g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
@@ -41,31 +43,31 @@ operator new(std::size_t n)
     throw std::bad_alloc();
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t n)
 {
     return ::operator new(n);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
@@ -77,26 +79,26 @@ operator delete[](void *p, std::size_t) noexcept
 // the malloc-backed plain delete above is an alloc-dealloc mismatch
 // under ASan.
 
-void *
+[[gnu::noinline]] void *
 operator new(std::size_t n, const std::nothrow_t &) noexcept
 {
     g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
     return std::malloc(n ? n : 1);
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t n, const std::nothrow_t &tag) noexcept
 {
     return ::operator new(n, tag);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
@@ -461,6 +463,69 @@ TEST(SearchDriver, EveryBatchTrialIsEmulatedThenVerified)
             << i;
         EXPECT_EQ(one.verified, batch[i].verified) << i;
     }
+}
+
+TEST(SearchDriver, TrialVerdictsMatchVerifyPlan)
+{
+    // The driver checks the job's schedule once and each trial's plan
+    // rules on their own; every verdict must still be verifyPlan's.
+    Job job("bert-1.67b");
+    const auto opts = pn::verifierOptions(rt::ExecutorConfig{});
+    // Consecutive stages on NVLink neighbours of the DGX-1 mesh.
+    cp::CompactionPlan clean = recomputeAll(job.part);
+    clean.stageToGpu = {0, 1, 2, 3, 7, 6, 5, 4};
+    // A layer outside its stage: swap-unknown-tensor, an error.
+    cp::CompactionPlan broken = clean;
+    broken.activations[{0, 999}] = cp::Kind::Recompute;
+    // The identity mapping puts stages 3 and 4 on GPUs without an
+    // NVLink (sched-fabric-path), and a grant no D2D class draws on
+    // is d2d-orphan-grant: warnings only.
+    cp::CompactionPlan warned = recomputeAll(job.part);
+    warned.spareGrants[0] = {cp::SpareGrant{1, 1 << 20}};
+    std::vector<cp::CompactionPlan> trials = {clean, broken, warned};
+
+    auto verdict = [&](const pl::Schedule &sched,
+                       const cp::CompactionPlan &plan) {
+        return mpress::verify::verifyPlan(job.topo, job.mdl, job.part,
+                                          sched, plan, opts);
+    };
+    EXPECT_TRUE(verdict(job.sched, clean).clean())
+        << verdict(job.sched, clean).render();
+    EXPECT_FALSE(verdict(job.sched, broken).ok());
+    EXPECT_TRUE(verdict(job.sched, warned).ok())
+        << verdict(job.sched, warned).render();
+    EXPECT_TRUE(verdict(job.sched, warned)
+                    .hasRule(mpress::verify::Rule::SchedFabricPath));
+    EXPECT_TRUE(verdict(job.sched, warned)
+                    .hasRule(mpress::verify::Rule::D2dOrphanGrant));
+
+    mu::ThreadPool pool(3);
+    pn::SearchDriver driver(job.topo, job.mdl, job.part, job.sched,
+                            {}, pool);
+    auto outcomes = driver.evaluate(trials);
+    ASSERT_EQ(outcomes.size(), trials.size());
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+        EXPECT_EQ(outcomes[i].verified,
+                  verdict(job.sched, trials[i]).ok())
+            << i;
+    }
+    EXPECT_TRUE(outcomes[0].verified);
+    EXPECT_FALSE(outcomes[1].verified);
+    EXPECT_TRUE(outcomes[2].verified);
+
+    // A schedule that breaks a schedule rule fails every trial: here
+    // fwd(1, 0) lost its dependency on fwd(0, 0) (sched-missing-dep).
+    pl::Schedule cut = job.sched;
+    for (pl::Task &t : cut.tasks) {
+        if (t.kind == pl::TaskKind::Forward && t.stage == 1 &&
+            t.microbatch == 0)
+            t.deps.clear();
+    }
+    ASSERT_FALSE(verdict(cut, clean).ok());
+    pn::SearchDriver cut_driver(job.topo, job.mdl, job.part, cut, {},
+                                pool);
+    for (const pn::TrialOutcome &o : cut_driver.evaluate(trials))
+        EXPECT_FALSE(o.verified);
 }
 
 TEST(SearchDriver, TrialsNeverRecord)

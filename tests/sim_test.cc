@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <random>
+#include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -460,4 +467,338 @@ TEST(PartitionedEngine, ResetRetainsSlabsAndReplaysIdentically)
     eng.reset();
     eng.shrink();
     EXPECT_EQ(eng.reservedSlots(), 0u);
+}
+
+// ---------------------------------------------------------------
+// The queue against a reference order
+// ---------------------------------------------------------------
+
+namespace {
+
+/**
+ * Drives an engine with seeded random schedules, posts, chains and
+ * stops, and replays every step on a reference model: a std::set of
+ * the pending events in the documented firing order, with the run
+ * loop's window and stop rules spelled out.  Every event the engine
+ * fires must be the model's next one, and queueDepth(), queuePeak(),
+ * poolSlots(), windows() and eventsExecuted() must equal the model's.
+ */
+class QueueDiff
+{
+  public:
+    QueueDiff(int nodes, Tick lookahead, std::uint64_t seed)
+        : _nodes(nodes), _lookahead(lookahead), _rng(seed),
+          _stopped(static_cast<std::size_t>(nodes), 0)
+    {
+        if (nodes > 1)
+            eng.partition(nodes, lookahead);
+        rewind();
+    }
+
+    Engine eng;
+
+    // What a fired event does, drawn from the seed.
+    int maxChildren = 2;       ///< local events or posts: 0..max
+    Tick maxDelay = 20;        ///< a local child lands [0, max] later
+    double postOdds = 0.3;     ///< a child is a post (several nodes)
+    double stopOdds = 0.0;     ///< the event stops its node
+    double chainOdds = 0.1;    ///< a set-up event starts a chain
+    int chainHops = 50;        ///< hops of a chain, 0 or 1 tick apart
+    std::uint64_t budget = 3000;  ///< fired events that may spawn
+
+    /** Schedule @p count set-up events on random nodes, at ticks
+     *  drawn from [now, now + span]. */
+    void
+    load(int count, Tick span)
+    {
+        std::uniform_int_distribution<int> node(0, _nodes - 1);
+        std::uniform_int_distribution<Tick> at(0, span);
+        std::bernoulli_distribution chain(chainOdds);
+        for (int i = 0; i < count; ++i) {
+            int hops = chain(_rng) ? chainHops : 0;
+            local(node(_rng), eng.now() + at(_rng), hops, true);
+        }
+    }
+
+    /** One run(), checked step by step against the model. */
+    void
+    run()
+    {
+        _stopping = false;
+        std::fill(_stopped.begin(), _stopped.end(), 0);
+        eng.run();
+        // The model must agree that the run is over.
+        std::optional<int> extra = next();
+        if (extra && !_failed) {
+            ADD_FAILURE() << "run() returned before event " << *extra;
+            _failed = true;
+        }
+        expectCounters();
+    }
+
+    /** run() until the queue drains (stops leave events queued). */
+    void
+    drain()
+    {
+        for (int i = 0; i < 100000 && !eng.empty() && !_failed; ++i)
+            run();
+        EXPECT_TRUE(eng.empty());
+    }
+
+    /** reset() the engine (events may be pending) and the model. */
+    void
+    reset()
+    {
+        eng.reset();
+        rewind();
+        expectCounters();
+        EXPECT_EQ(eng.now(), 0);
+    }
+
+    std::uint64_t executed() const { return _executed; }
+    bool failed() const { return _failed; }
+
+  private:
+    /** Firing order: tick; then messages (band 0) before local events
+     *  (band 1); messages by (source node, post order), local events
+     *  by scheduling order; last the event id. */
+    using Key = std::tuple<Tick, int, int, std::uint64_t, int>;
+
+    struct Event
+    {
+        int node;
+        Tick when;
+        int hops;  ///< chain hops still to schedule
+    };
+
+    void
+    rewind()
+    {
+        _pending.clear();
+        _locals = 0;
+        _messages = 0;
+        _peak = 0;
+        _slots = 0;
+        _windows = 0;
+        _executed = 0;
+        _horizon = _nodes > 1 ? 0 : std::numeric_limits<Tick>::max();
+    }
+
+    void
+    expectCounters()
+    {
+        EXPECT_EQ(eng.queueDepth(), _pending.size());
+        EXPECT_EQ(eng.queuePeak(), _peak);
+        EXPECT_EQ(eng.poolSlots(), _slots);
+        EXPECT_EQ(eng.windows(), _windows);
+        EXPECT_EQ(eng.eventsExecuted(), _executed);
+    }
+
+    /** A new pending event: the queue's depth and the slots in use
+     *  (the running event still holds its own) may peak. */
+    void
+    note(const Key &key)
+    {
+        _pending.insert(key);
+        _peak = std::max(_peak, _pending.size());
+        _slots = std::max(_slots, _pending.size() + (_inEvent ? 1 : 0));
+    }
+
+    int
+    newEvent(int node, Tick when, int hops)
+    {
+        _events.push_back(Event{node, when, hops});
+        return static_cast<int>(_events.size()) - 1;
+    }
+
+    /** A local event: from set-up code on @p node, or from the running
+     *  event on its own node. */
+    void
+    local(int node, Tick when, int hops, bool setup)
+    {
+        int id = newEvent(node, when, hops);
+        note(Key{when, 1, 0, _locals++, id});
+        if (setup)
+            eng.scheduleOn(node, when, [this, id] { fire(id); });
+        else
+            eng.schedule(when, [this, id] { fire(id); });
+    }
+
+    void
+    post(int src, int dst)
+    {
+        Tick when = eng.now() + _lookahead;
+        int id = newEvent(dst, when, 0);
+        note(Key{when, 0, src, _messages++, id});
+        eng.post(dst, [this, id] { fire(id); });
+    }
+
+    /** The model's next event to run, dropping what a stop drops;
+     *  nullopt where run() must return. */
+    std::optional<int>
+    next()
+    {
+        while (!_pending.empty()) {
+            auto it = _pending.begin();
+            const Tick when = std::get<0>(*it);
+            const int id = std::get<4>(*it);
+            if (_stopping) {
+                // One node returns at once; several finish the window.
+                if (_nodes == 1 || when >= _horizon)
+                    return std::nullopt;
+                _pending.erase(it);
+                if (_stopped[static_cast<std::size_t>(
+                        _events[static_cast<std::size_t>(id)].node)])
+                    continue;
+                return id;
+            }
+            _pending.erase(it);
+            if (when >= _horizon) {
+                _horizon = when + _lookahead;
+                ++_windows;
+            }
+            return id;
+        }
+        return std::nullopt;
+    }
+
+    void
+    fire(int id)
+    {
+        if (_failed)
+            return;
+        std::optional<int> want = next();
+        const Event ev = _events[static_cast<std::size_t>(id)];
+        if (!want || *want != id || eng.now() != ev.when) {
+            ADD_FAILURE() << "engine fired event " << id << " at tick "
+                          << eng.now() << ", the reference order "
+                          << (want ? std::to_string(*want) : "nothing")
+                          << " (after " << _executed << " events)";
+            _failed = true;
+            return;
+        }
+        ++_executed;
+        if (eng.queueDepth() != _pending.size()) {
+            ADD_FAILURE() << "queueDepth() " << eng.queueDepth()
+                          << " against " << _pending.size();
+            _failed = true;
+            return;
+        }
+        _inEvent = true;
+        if (ev.hops > 0) {
+            std::uniform_int_distribution<Tick> gap(0, 1);
+            local(ev.node, eng.now() + gap(_rng), ev.hops - 1, false);
+        }
+        if (_executed <= budget) {
+            std::uniform_int_distribution<int> kids(0, maxChildren);
+            std::uniform_int_distribution<Tick> delay(0, maxDelay);
+            std::uniform_int_distribution<int> node(0, _nodes - 1);
+            std::bernoulli_distribution is_post(_nodes > 1 ? postOdds
+                                                           : 0.0);
+            for (int k = kids(_rng); k > 0; --k) {
+                if (is_post(_rng))
+                    post(ev.node, node(_rng));
+                else
+                    local(ev.node, eng.now() + delay(_rng), 0, false);
+            }
+        }
+        if (stopOdds > 0.0 &&
+            std::bernoulli_distribution(stopOdds)(_rng)) {
+            eng.stop();
+            _stopping = true;
+            _stopped[static_cast<std::size_t>(ev.node)] = 1;
+        }
+        _inEvent = false;
+    }
+
+    const int _nodes;
+    const Tick _lookahead;
+    std::mt19937_64 _rng;
+    std::vector<Event> _events;
+    std::set<Key> _pending;
+    std::uint64_t _locals = 0;
+    std::uint64_t _messages = 0;
+    std::size_t _peak = 0;
+    std::size_t _slots = 0;
+    std::uint64_t _windows = 0;
+    std::uint64_t _executed = 0;
+    Tick _horizon = 0;
+    bool _stopping = false;
+    std::vector<char> _stopped;
+    bool _inEvent = false;
+    bool _failed = false;
+};
+
+} // namespace
+
+TEST(Engine, QueueMatchesReferenceOrder)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(seed);
+        QueueDiff q(1, 0, seed);
+        q.load(40, 30);
+        q.drain();
+        EXPECT_GT(q.executed(), 1000u);
+        // Stops leave the rest queued; the next run() resumes it.
+        QueueDiff stops(1, 0, seed);
+        stops.stopOdds = 0.01;
+        stops.load(40, 30);
+        stops.drain();
+        EXPECT_FALSE(stops.failed());
+    }
+}
+
+TEST(Engine, QueueMatchesReferenceOrderAcrossResetAndShrink)
+{
+    QueueDiff q(1, 0, 11);
+    q.stopOdds = 0.02;
+    q.load(60, 100);
+    q.run();
+    ASSERT_FALSE(q.eng.empty());
+    // reset() with events pending, then reuse.
+    q.reset();
+    q.load(60, 100);
+    q.drain();
+    q.reset();
+    q.eng.shrink();
+    EXPECT_EQ(q.eng.reservedSlots(), 0u);
+    q.stopOdds = 0.0;
+    q.load(60, 100);
+    q.drain();
+    EXPECT_FALSE(q.failed());
+}
+
+TEST(Engine, DeepQueueMatchesReferenceOrder)
+{
+    // 10^4 pending events at random ticks, and every fired event
+    // inserts up to two more at random depths.
+    QueueDiff q(1, 0, 21);
+    q.chainOdds = 0.0;
+    q.maxDelay = 1000000;
+    q.budget = 10000;
+    q.load(10000, 1000000);
+    q.drain();
+    EXPECT_GE(q.eng.queuePeak(), 10000u);
+    EXPECT_FALSE(q.failed());
+}
+
+TEST(PartitionedEngine, QueueMatchesReferenceOrder)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(seed);
+        QueueDiff q(3, 7, seed);
+        q.load(40, 30);
+        q.drain();
+        EXPECT_GT(q.eng.windows(), 10u);
+        // A stop is window-granular: the stopped node loses the rest
+        // of the window, later windows stay queued.
+        QueueDiff stops(3, 7, seed);
+        stops.stopOdds = 0.01;
+        stops.load(40, 30);
+        stops.drain();
+        stops.reset();
+        stops.load(40, 30);
+        stops.drain();
+        EXPECT_FALSE(stops.failed());
+    }
 }

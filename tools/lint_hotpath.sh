@@ -11,8 +11,9 @@
 #     the only clock src/sim, src/runtime, src/memory, src/fault,
 #     src/compaction and src/analysis may observe
 #  4. the engine dispatch loops (Engine::run and its helpers invoke,
-#     release and finishWindow) never allocate or grow containers --
-#     they only pop, invoke and recycle
+#     release and finishWindow) and the queue's pop path
+#     (Engine::popFront) never allocate or grow containers -- they
+#     only pop, invoke and recycle
 #
 # Exits non-zero on the first violated rule, printing every offending
 # line.  Comments are stripped before matching so prose cannot trip the
@@ -82,7 +83,8 @@ fi
 # Rule 4: the dispatch loops only pop, invoke and recycle.
 grow='push_back|emplace_back|\.resize\(|\.reserve\(|\.insert\('
 grow+="|$alloc"
-body=$(awk '/^Engine::(run|invoke|release|finishWindow)\(/ { inbody = 1 }
+loops='run|invoke|release|finishWindow|popFront'
+body=$(awk -v start="^Engine::($loops)\\(" '$0 ~ start { inbody = 1 }
             inbody { print }
             /^}/ { inbody = 0 }' src/sim/engine.cc |
        sed 's@//.*@@')
