@@ -27,8 +27,11 @@
  *     --mb-per-mini <n>       microbatches per minibatch [8]
  *     --minibatches <n>       training window length [2]
  *     --threads <n>           worker threads for the planner's
- *                             emulator-feedback search, and for
- *                             running sweep scenarios [1]
+ *                             mapping scan and emulator-feedback
+ *                             search, and for running sweep
+ *                             scenarios (whose plans each run
+ *                             serially) [every CPU the process may
+ *                             run on]
  *     --analyze               print the static analysis certificate
  *                             of the executed plan (per-GPU
  *                             peak-memory intervals, latency lower
@@ -326,6 +329,7 @@ runSweep(const std::vector<Scenario> &scenarios, int threads)
         // across scenarios, not within one.
         hw::Topology topo = parseTopology(s.topology);
         api::SessionConfig cfg;
+        cfg.planner.threads = 1;
         cfg.model = mm::presetByName(s.model);
         cfg.microbatch = s.microbatch;
         cfg.system = parseSystem(s.system);
@@ -441,7 +445,7 @@ main(int argc, char **argv)
     std::string cluster_arg;
     std::string verify_mode = "permissive";
     int microbatch = 12, mb_per_mini = 8, minibatches = 2;
-    int threads = 1;
+    int threads = mu::ThreadPool::hardwareThreads();
     bool fault_ladder = true;
     bool analyze = false;
     bool portfolio = false;
@@ -611,10 +615,10 @@ main(int argc, char **argv)
                        stderr);
             return 3;
         }
-        mu::ThreadPool pool(threads);
+        mu::PoolLease lease(threads);
         mpress::planner::SearchDriver driver(
             topo, session.model(), session.partition(),
-            session.schedule(), cfg.executor, pool);
+            session.schedule(), cfg.executor, lease.pool());
         mpress::planner::RobustnessResult rr =
             driver.evaluateRobustness(planned.plan,
                                       matrix.scenarios);

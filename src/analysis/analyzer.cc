@@ -358,56 +358,70 @@ analyzePlan(const hw::Topology &topo, const model::TransformerModel &mdl,
     // on its consumer: zero intra-GPU, single-lane wire time over a
     // direct NVLink or inter-node NIC (pathLanes + linkSpecBetween
     // price the right tier), two serial PCIe wire legs for a host
-    // bounce.
-    auto edge_weight = [&](const pipeline::Task &from,
-                           const pipeline::Task &to) -> Tick {
-        int a = costs[static_cast<std::size_t>(from.stage)].gpu;
-        int b = costs[static_cast<std::size_t>(to.stage)].gpu;
-        if (a == b)
-            return 0;
-        int lo = std::min(from.stage, to.stage);
-        Bytes bytes =
-            part.stages[static_cast<std::size_t>(lo)].outputBytes;
-        if (bytes <= 0)
-            return 0;
-        if (topo.pathLanes(a, b) > 0)
-            return topo.linkSpecBetween(a, b).peak.transferTime(
-                bytes);
-        return 2 * pcie.peak.transferTime(bytes);
+    // bounce.  It depends only on the two stages, so each stage pair
+    // is priced once, on its first edge.
+    const auto stages = static_cast<std::size_t>(num_stages);
+    std::vector<Tick> pair_weight(stages * stages, -1);
+    auto edge_weight = [&](int from, int to) -> Tick {
+        Tick &w = pair_weight[static_cast<std::size_t>(from) * stages +
+                              static_cast<std::size_t>(to)];
+        if (w >= 0)
+            return w;
+        int a = costs[static_cast<std::size_t>(from)].gpu;
+        int b = costs[static_cast<std::size_t>(to)].gpu;
+        Bytes bytes = part.stages[static_cast<std::size_t>(
+                                      std::min(from, to))]
+                          .outputBytes;
+        if (a == b || bytes <= 0)
+            w = 0;
+        else if (topo.pathLanes(a, b) > 0)
+            w = topo.linkSpecBetween(a, b).peak.transferTime(bytes);
+        else
+            w = 2 * pcie.peak.transferTime(bytes);
+        return w;
     };
 
+    // The DAG's successor lists, flat (CSR): the dependency edges in
+    // task order, then the per-stage order edges.  One pass counts
+    // and validates, the second fills.
+    auto in_range = [&](int t) {
+        return t >= 0 && static_cast<std::size_t>(t) < num_tasks;
+    };
+    std::vector<std::size_t> succ_begin(num_tasks + 1, 0);
+    for (const pipeline::Task &task : sched.tasks) {
+        for (int dep : task.deps) {
+            if (!in_range(dep))
+                return cert;
+            ++succ_begin[static_cast<std::size_t>(dep) + 1];
+        }
+    }
+    for (const auto &order : sched.perStageOrder) {
+        for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+            if (!in_range(order[i]) || !in_range(order[i + 1]))
+                return cert;
+            ++succ_begin[static_cast<std::size_t>(order[i]) + 1];
+        }
+    }
+    for (std::size_t t = 0; t < num_tasks; ++t)
+        succ_begin[t + 1] += succ_begin[t];
+    std::vector<int> succs(succ_begin[num_tasks]);
+    std::vector<std::size_t> fill(succ_begin.begin(),
+                                  succ_begin.end() - 1);
     std::vector<int> indegree(num_tasks, 0);
-    std::vector<std::vector<int>> succs(num_tasks);
-    bool shape_ok = true;
-    for (std::size_t t = 0; t < num_tasks && shape_ok; ++t) {
+    for (std::size_t t = 0; t < num_tasks; ++t) {
         for (int dep : sched.tasks[t].deps) {
-            if (dep < 0 ||
-                static_cast<std::size_t>(dep) >= num_tasks) {
-                shape_ok = false;
-                break;
-            }
-            succs[static_cast<std::size_t>(dep)].push_back(
-                static_cast<int>(t));
+            succs[fill[static_cast<std::size_t>(dep)]++] =
+                static_cast<int>(t);
             ++indegree[t];
         }
     }
     for (const auto &order : sched.perStageOrder) {
-        if (!shape_ok)
-            break;
         for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-            int u = order[i];
-            int v = order[i + 1];
-            if (u < 0 || static_cast<std::size_t>(u) >= num_tasks ||
-                v < 0 || static_cast<std::size_t>(v) >= num_tasks) {
-                shape_ok = false;
-                break;
-            }
-            succs[static_cast<std::size_t>(u)].push_back(v);
-            ++indegree[static_cast<std::size_t>(v)];
+            succs[fill[static_cast<std::size_t>(order[i])]++] =
+                order[i + 1];
+            ++indegree[static_cast<std::size_t>(order[i + 1])];
         }
     }
-    if (!shape_ok)
-        return cert;
 
     std::vector<Tick> finish(num_tasks, 0);
     std::vector<int> ready;
@@ -425,12 +439,14 @@ analyzePlan(const hw::Topology &topo, const model::TransformerModel &mdl,
         finish[ui] += node_weight[ui];
         critical_path = std::max(critical_path, finish[ui]);
         const pipeline::Task &ut = sched.tasks[ui];
-        for (int v : succs[ui]) {
+        for (std::size_t k = succ_begin[ui]; k < succ_begin[ui + 1];
+             ++k) {
+            int v = succs[k];
             auto vi = static_cast<std::size_t>(v);
             Tick arrive = finish[ui];
             const pipeline::Task &vt = sched.tasks[vi];
             if (vt.stage != ut.stage)
-                arrive += edge_weight(ut, vt);
+                arrive += edge_weight(ut.stage, vt.stage);
             finish[vi] = std::max(finish[vi], arrive);
             if (--indegree[vi] == 0)
                 ready.push_back(v);

@@ -190,13 +190,15 @@ planMPress(const hw::Topology &topo,
 
     // The worker pool serves both the mapping scan and the trial
     // batches of the refinement race.  cfg.threads is clamped to the
-    // machine's core count: oversubscribed workers only add context
-    // switches to the CPU-bound scan/emulation bodies (the measured
-    // cause of the former threads:4 regression), and the mapper and
-    // driver are thread-count-deterministic, so clamping can never
-    // change the plan.
-    util::ThreadPool pool(
+    // CPUs this process may run on: oversubscribed workers only add
+    // context switches to the CPU-bound scan/emulation bodies (the
+    // measured cause of the former threads:4 regression).  At the
+    // default the plan leases the process-wide pool.  The mapper and
+    // driver are thread-count-deterministic, so neither the clamp nor
+    // the pool can change the plan.
+    util::PoolLease lease(
         std::min(cfg.threads, util::ThreadPool::hardwareThreads()));
+    util::ThreadPool &pool = lease.pool();
 
     // (2) Device mapping + spare-memory grants.
     result.mapping = searchDeviceMapping(topo, profile.stagePeak,
@@ -209,7 +211,7 @@ planMPress(const hw::Topology &topo,
 
     // The refinement race evaluates batches of independent trial
     // plans; the driver scores them as concurrent emulator runs
-    // (per-worker topology + engine arenas, per-trial executors) and
+    // (trial arenas of topology + engine, per-trial executors) and
     // the fixed tie-break keeps the result identical for every thread
     // count.  It is built before the seed emulation so the
     // seed/escalation runs land in the trial cache and later
@@ -470,10 +472,11 @@ planD2dOnly(const hw::Topology &topo,
         return result;
     }
 
-    // Same oversubscription clamp as planMPress (the mapper is
-    // thread-count-deterministic, so the clamp cannot change it).
-    util::ThreadPool pool(
+    // Same clamp and pool as planMPress (the mapper is
+    // thread-count-deterministic, so neither can change it).
+    util::PoolLease lease(
         std::min(cfg.threads, util::ThreadPool::hardwareThreads()));
+    util::ThreadPool &pool = lease.pool();
     result.mapping = searchDeviceMapping(topo, profile.stagePeak,
                                          capacity, cfg.mapper, {},
                                          &pool);

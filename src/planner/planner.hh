@@ -36,6 +36,7 @@
 #include "planner/mapper.hh"
 #include "planner/search.hh"
 #include "runtime/executor.hh"
+#include "util/pool.hh"
 #include "verify/verify.hh"
 
 namespace mpress {
@@ -56,13 +57,17 @@ struct PlannerConfig
      *  every trial costing one emulated iteration). */
     int maxIterations = 10;
 
-    /** Worker threads for the emulator-feedback search (trial
-     *  batches and the coarse variants run concurrently, each on its
-     *  own topology + executor).  The plan is identical for every
-     *  thread count: trial generation is serial and the winner is
-     *  picked by a fixed tie-break, so threads only change
-     *  wall-clock time. */
-    int threads = 1;
+    /** Worker threads for the device-mapping scan and the
+     *  emulator-feedback search (trial batches and the coarse
+     *  variants run concurrently, each on its own topology +
+     *  executor), clamped to the CPUs the process may run on.  The
+     *  default, every such CPU, plans on the process-wide
+     *  util::PoolLease pool.  The plan is identical for every thread
+     *  count: trial generation is serial and the winner is picked by
+     *  a fixed tie-break, so threads only change wall-clock time.
+     *  Callers that already run many plans at once (a sweep, the
+     *  serve daemon) set 1. */
+    int threads = util::ThreadPool::hardwareThreads();
 
     /** Required relative throughput gain to accept a refinement. */
     double acceptGain = 0.002;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "fault/injector.hh"
@@ -25,13 +24,17 @@ using util::Tick;
 namespace {
 
 /** Per-instance swap-in tracking state. */
-enum class InState
+enum class InState : std::uint8_t
 {
     NotNeeded,
     Pending,   ///< instance offloaded, swap-in not yet issued
     InFlight,  ///< swap-in issued
     Done,
 };
+
+/** Instance::kindOverride until the fault ladder demotes the
+ *  instance. */
+constexpr std::uint8_t kNoOverride = 0xff;
 
 /** Consecutive over-water runs before an arena releases slabs. */
 constexpr int kShrinkAfter = 8;
@@ -151,30 +154,36 @@ struct TrainingRun
     std::vector<NodeState> nodes;
 
     /** Executor state of one activation instance (layer x
-     *  microbatch).  Each field keeps a distinct "absent" value. */
+     *  microbatch).  A trial holds one per (layer, microbatch) slot
+     *  of the window, so every field is a byte. */
     struct Instance
     {
-        /** Forward finish tick; -1 until then (a FLOP-free layer can
-         *  finish at tick 0). */
-        Tick genTime = -1;
-        /** Backward chain stalled on this instance, if any. */
-        BwdChain *blockedOn = nullptr;
         InState inState = InState::NotNeeded;
-        /** The fault ladder's demotion of the planned kind. */
-        std::optional<Kind> kindOverride;
+        /** The fault ladder's demotion of the planned kind, or
+         *  kNoOverride. */
+        std::uint8_t kindOverride = kNoOverride;
+        /** The stage's backward chain (bwdChains[stage]) is stalled
+         *  on this instance. */
+        bool blocked = false;
     };
+    static_assert(sizeof(Instance) <= 4);
 
-    /** Every instance of the run at layer x totalMicrobatches() +
-     *  microbatch (see inst()), sized once at construction.  An
-     *  instance belongs to one stage, so only that stage's node ever
-     *  writes it. */
+    /** Every instance of the run at slot(key), sized once at
+     *  construction.  An instance belongs to one stage, so only that
+     *  stage's node ever writes it. */
     std::vector<Instance> instances;
+
+    /** Forward finish tick per instance slot, -1 until then (a
+     *  FLOP-free layer can finish at tick 0).  Only liveness
+     *  recording reads it, so it is empty unless cfg.recordLiveness
+     *  is set. */
+    std::vector<Tick> genTimes;
 
     /** Planned kind per layer: plan.kindFor() resolved once. */
     std::vector<Kind> layerKind;
 
     /** One backward chain per stage; only the stage's node writes
-     *  it, and Instance::blockedOn points into it. */
+     *  it.  A blocked instance of stage s stalls bwdChains[s]. */
     std::vector<BwdChain> bwdChains;
 
     /** Weight-version fetch progress per task id, for the backward
@@ -185,13 +194,27 @@ struct TrainingRun
     /** Working storage of every D2D swap-out's stripe plan. */
     compaction::StripeScratch stripeScratch;
 
-    Instance &
-    inst(InstanceKey key)
+    /** Index of @p key in instances and genTimes: layer x
+     *  totalMicrobatches() + microbatch. */
+    std::size_t
+    slot(InstanceKey key) const
     {
-        return instances[static_cast<std::size_t>(key.ref.layer) *
-                             static_cast<std::size_t>(
-                                 sched.totalMicrobatches()) +
-                         static_cast<std::size_t>(key.microbatch)];
+        return static_cast<std::size_t>(key.ref.layer) *
+                   static_cast<std::size_t>(sched.totalMicrobatches()) +
+               static_cast<std::size_t>(key.microbatch);
+    }
+
+    Instance &inst(InstanceKey key) { return instances[slot(key)]; }
+
+    /** The chain stalled on @p key, clearing its blocked flag; null
+     *  when none is. */
+    BwdChain *
+    unblock(InstanceKey key)
+    {
+        Instance &in = inst(key);
+        if (!std::exchange(in.blocked, false))
+            return nullptr;
+        return &bwdChains[static_cast<std::size_t>(key.ref.stage)];
     }
 
     // Metric ids are identical in every node's registry (same
@@ -367,6 +390,8 @@ struct TrainingRun
                              static_cast<std::size_t>(
                                  sched.totalMicrobatches()),
                          Instance{});
+        if (cfg.recordLiveness)
+            genTimes.assign(instances.size(), -1);
         layerKind.assign(mdl.numLayers(), Kind::None);
         for (const auto &stage : part.stages) {
             for (std::size_t l = stage.firstLayer; l <= stage.lastLayer;
@@ -977,7 +1002,8 @@ struct TrainingRun
                         t.microbatch};
         NodeState &ns = nsOfStage(t.stage);
         Instance &in = inst(key);
-        in.genTime = engine->now();
+        if (cfg.recordLiveness)
+            genTimes[slot(key)] = engine->now();
 
         const model::Layer &layer = mdl.layer(pos);
         const int gpu = gpuOf(t.stage);
@@ -1228,7 +1254,7 @@ struct TrainingRun
 
         const int minibatch = minibatchOf(key);
         if (startHostSwapOut(key, gpu, bytes, minibatch)) {
-            in.kindOverride = Kind::GpuCpuSwap;
+            in.kindOverride = static_cast<std::uint8_t>(Kind::GpuCpuSwap);
             ++ns.faults.fallbackGpuCpuSwap;
             ns.obsData.metrics.add(mFaultFallbackSwap,
                                    engine->now(), 1.0);
@@ -1240,7 +1266,7 @@ struct TrainingRun
         // pass, exactly like a planned Kind::Recompute instance.
         const model::Layer &layer =
             mdl.layer(static_cast<std::size_t>(key.ref.layer));
-        in.kindOverride = Kind::Recompute;
+        in.kindOverride = static_cast<std::uint8_t>(Kind::Recompute);
         ++ns.faults.fallbackRecompute;
         ns.obsData.metrics.add(mFaultFallbackRecompute,
                                engine->now(), 1.0);
@@ -1255,7 +1281,7 @@ struct TrainingRun
 
         // A backward chain may already be stalled on the old swap-in;
         // the tensor will now be recomputed, so resume it.
-        if (BwdChain *chain = std::exchange(in.blockedOn, nullptr)) {
+        if (BwdChain *chain = unblock(key)) {
             if (chain->stallStart >= 0) {
                 report
                     .overheads[static_cast<std::size_t>(
@@ -1536,8 +1562,9 @@ struct TrainingRun
     wakeIfBlocked(InstanceKey key)
     {
         const Instance &in = inst(key);
-        if (in.blockedOn && in.inState == InState::Pending)
-            issueSwapIn(*in.blockedOn, key);
+        if (in.blocked && in.inState == InState::Pending)
+            issueSwapIn(bwdChains[static_cast<std::size_t>(key.ref.stage)],
+                        key);
     }
 
     void
@@ -1575,10 +1602,9 @@ struct TrainingRun
             }
         }
         ns.swapTable->complete(key);
-        Instance &in = inst(key);
-        in.inState = InState::Done;
+        inst(key).inState = InState::Done;
 
-        if (BwdChain *chain = std::exchange(in.blockedOn, nullptr)) {
+        if (BwdChain *chain = unblock(key)) {
             --chain->inflightSwapIns;
             if (chain->stallStart >= 0) {
                 report
@@ -1629,7 +1655,7 @@ struct TrainingRun
                     issueSwapIn(chain, key);
             }
             chain.stallStart = engine->now();
-            in.blockedOn = &chain;
+            in.blocked = true;
             return;
         }
 
@@ -1639,11 +1665,13 @@ struct TrainingRun
         const model::Layer *layer = &mdl.layer(pos);
         const int gpu = gpuOf(t.stage);
         // Planned kind, unless the fault ladder demoted the instance.
-        Kind kind = in.kindOverride.value_or(layerKind[pos]);
+        Kind kind = in.kindOverride == kNoOverride
+                        ? layerKind[pos]
+                        : static_cast<Kind>(in.kindOverride);
 
-        if (cfg.recordLiveness && in.genTime >= 0) {
+        if (cfg.recordLiveness && genTimes[slot(key)] >= 0) {
             report.liveness.record(key.ref, layer->activationStash,
-                                   t.microbatch, in.genTime,
+                                   t.microbatch, genTimes[slot(key)],
                                    engine->now());
         }
 

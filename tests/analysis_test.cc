@@ -103,8 +103,9 @@ expectSound(const an::AnalysisCertificate &cert,
                                  << " emulated run completed";
     }
     // provablyFits means no run can OOM.
-    if (cert.provablyFits)
+    if (cert.provablyFits) {
         EXPECT_FALSE(scoring.oom) << what;
+    }
     if (!scoring.oom) {
         EXPECT_LE(cert.latencyLowerBound, scoring.makespan)
             << what << ": latency bound over observed makespan";

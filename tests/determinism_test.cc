@@ -22,6 +22,13 @@ namespace cp = mpress::compaction;
 namespace hw = mpress::hw;
 namespace mu = mpress::util;
 
+namespace {
+
+/** The planner's default thread count: every usable CPU. */
+const int kDefaultThreads = mpress::planner::PlannerConfig{}.threads;
+
+} // namespace
+
 TEST(Determinism, IdenticalRunsProduceIdenticalReports)
 {
     auto run = [] {
@@ -67,14 +74,17 @@ TEST(Determinism, ThreadedPlannerSearchMatchesSerial)
         return api::runSession(hw::Topology::dgx1V100(), cfg);
     };
     auto serial = run(1);
-    auto threaded = run(4);
-    ASSERT_FALSE(serial.oom);
-    ASSERT_FALSE(threaded.oom);
-    EXPECT_EQ(cp::planToText(serial.plan),
-              cp::planToText(threaded.plan));
-    EXPECT_EQ(serial.report.makespan, threaded.report.makespan);
-    EXPECT_EQ(serial.planResult.iterations,
-              threaded.planResult.iterations);
+    for (int threads : {4, kDefaultThreads}) {
+        auto threaded = run(threads);
+        ASSERT_FALSE(serial.oom);
+        ASSERT_FALSE(threaded.oom);
+        EXPECT_EQ(cp::planToText(serial.plan),
+                  cp::planToText(threaded.plan))
+            << "threads=" << threads;
+        EXPECT_EQ(serial.report.makespan, threaded.report.makespan);
+        EXPECT_EQ(serial.planResult.iterations,
+                  threaded.planResult.iterations);
+    }
 }
 
 TEST(Determinism, MapperIsStableAcrossCalls)
@@ -245,7 +255,7 @@ TEST(Determinism, TrialCacheNeverChangesThePlan)
         cfg.planner.threads = threads;
         return api::runSession(hw::Topology::dgx1V100(), cfg);
     };
-    for (int threads : {1, 4}) {
+    for (int threads : {1, 4, kDefaultThreads}) {
         auto on = run(true, threads);
         auto off = run(false, threads);
         ASSERT_FALSE(on.oom);
