@@ -47,8 +47,7 @@ namespace runtime {
  * tables, whose record slots keep their stripe capacity.  A run
  * without a caller's arena uses a fresh one of its own.  One arena
  * must never be shared by two live executors — the planner's
- * SearchDriver keys one arena per pool worker, which gives exclusive
- * use by construction.
+ * SearchDriver gives each running trial its own, from an idle list.
  */
 struct ExecutorArena
 {
@@ -58,8 +57,9 @@ struct ExecutorArena
 
     /** Retained fabric, rebuilt only when the topology object
      *  changes; valid while @ref fabricTopo still points at the
-     *  live topology it was built from (the SearchDriver keeps one
-     *  stable hw::Topology copy per worker for exactly this). */
+     *  live topology it was built from (each of the SearchDriver's
+     *  trial arenas keeps one stable hw::Topology copy for exactly
+     *  this). */
     std::unique_ptr<hw::Fabric> fabric;
     const hw::Topology *fabricTopo = nullptr;
 
