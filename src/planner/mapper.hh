@@ -14,7 +14,10 @@
  * placement two exact drain floors run ahead of the two halves of its
  * cost: the lead exporter's floor before any spare is assigned, and
  * every exporter's floor read off its grants before stripe plans are
- * built.
+ * built.  The stages' demands, desires and lendable spare are tabled
+ * once per search, and the walk keeps each GPU's state current as it
+ * places and removes stages, so a placement pays only for its greedy
+ * grant loop, which evaluatePlacement() shares.
  *
  * For symmetric (switch-based) fabrics the search short-circuits:
  * every placement is equivalent, so the identity mapping is used and

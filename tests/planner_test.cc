@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <map>
+#include <vector>
 
 #include "model/model.hh"
 #include "partition/partition.hh"
@@ -377,6 +379,142 @@ TEST(Mapper, BertProfilePeaksPruneBeforeSpareAssignment)
     expectSameMapping(got, want);
     EXPECT_EQ(got.evaluated + got.pruned, 40320);
     EXPECT_GT(got.pruned, 20000);
+}
+
+TEST(Mapper, TiedExportersAreServedLowerGpuFirst)
+{
+    // Stages 0 and 1 overflow alike, so they desire the same bytes, and
+    // the only spare sits on GPUs 2 and 3, which neighbour both GPU 0
+    // and GPU 1.  Tied exporters are served lower GPU first, whichever
+    // stage sits there, so the exporter on GPU 0 takes all of it.  The
+    // exhaustive reference shares evaluatePlacement()'s spare
+    // assignment with the scan, so this rule is checked here.
+    auto topo = hw::Topology::dgx1V100();
+    const mu::Bytes cap = 28 * mu::kGB;
+    const std::vector<mu::Bytes> demand = {
+        40 * mu::kGB, 40 * mu::kGB, 20 * mu::kGB, 20 * mu::kGB,
+        cap,          cap,          cap,          cap};
+    for (const std::vector<int> &place :
+         {std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7},
+          std::vector<int>{1, 0, 2, 3, 4, 5, 6, 7}}) {
+        SCOPED_TRACE(testing::Message() << "stage 0 on GPU " << place[0]);
+        auto result = pn::evaluatePlacement(topo, place, demand, cap);
+        ASSERT_EQ(result.grants.size(), 1u);
+        ASSERT_TRUE(result.grants.count(0));
+        mu::Bytes granted = 0;
+        for (const auto &g : result.grants.at(0)) {
+            EXPECT_TRUE(g.importerGpu == 2 || g.importerGpu == 3);
+            granted += g.budget;
+        }
+        EXPECT_EQ(granted, 2 * static_cast<mu::Bytes>(
+                                   static_cast<double>(8 * mu::kGB) *
+                                   pn::kSpareSafety));
+    }
+}
+
+TEST(Mapper, Fig7ScansArePinned)
+{
+    // The planner's Fig. 7 scans on PipeDream/DGX-1 (microbatch 12,
+    // one microbatch per minibatch, 24 minibatches), recorded before
+    // the scan kept its per-GPU state incrementally: the three
+    // profile-peak scans and bert-1.67b's post-compaction re-map, whose
+    // desires tie.  A cheaper scan must visit exactly the same tree, so
+    // the winner, grants, score bits and counts all stay put, at any
+    // pool size.
+    struct Pinned
+    {
+        const char *name;
+        std::vector<mu::Bytes> demand;
+        std::vector<mu::Bytes> desire;
+        std::vector<int> place;
+        std::map<int, std::vector<cp::SpareGrant>> grants;
+        std::uint64_t scoreBits;
+        std::uint64_t coverageBits;
+        long evaluated;
+        long pruned;
+    };
+    const mu::Bytes cap = 29090909090LL;
+    const std::vector<int> lead_far = {0, 1, 2, 3, 7, 4, 6, 5};
+    const Pinned cases[] = {
+        {"bert-1.67b peaks",
+         {74601856000LL, 75842801664LL, 65404717056LL, 54966632448LL,
+          37107123200LL, 28408719360LL, 19710315520LL, 8842559488LL},
+         {},
+         lead_far,
+         {{0, {{4, 579861270LL}}},
+          {1, {{5, 17211097161LL}}},
+          {2, {{6, 7973504534LL}}}},
+         0x410350e6648b13f7ULL,
+         0x3fc44c6383523e7aULL,
+         19317,
+         21003},
+        {"bert-4.0b peaks",
+         {133345689600LL, 133010698240LL, 114953287680LL, 83053608960LL,
+          67575828480LL, 52098048000LL, 36620267520LL, 21189672960LL},
+         {},
+         lead_far,
+         {{1, {{5, 6716050710LL}}}},
+         0x40cf312995521ee4ULL,
+         0x3f907dc86ba19d87ULL,
+         8892,
+         31428},
+        {"bert-6.2b peaks",
+         {164997660672LL, 164897660928LL, 142700285952LL,
+          120502910976LL, 98305536000LL, 76108161024LL, 53910786048LL,
+          27239546880LL},
+         {},
+         lead_far,
+         {{1, {{5, 1573657878LL}}}},
+         0x40a3a73370d5ca1dULL,
+         0x3f64ddf92e8a9bf8ULL,
+         995,
+         39325},
+        {"bert-1.67b re-map",
+         {28855106560LL, 28741816320LL, 27717322752LL, 28179185664LL,
+          27594441728LL, 25237825536LL, 19710315520LL, 8842559488LL},
+         {4825709141LL, 4825709141LL, 4825709141LL, 4825709141LL,
+          4825709141LL, 4756340736LL, 0, 0},
+         {0, 1, 2, 3, 7, 4, 5, 6},
+         {{0,
+           {{4, 3275121020LL},
+            {3, 86310880LL},
+            {2, 1167548387LL},
+            {1, 296728854LL}}},
+          {1, {{5, 4825709141LL}}},
+          {2, {{6, 4825709141LL}}},
+          {3, {{0, 200432150LL}, {7, 1271997257LL}}},
+          {4, {{6, 4756340736LL}}},
+          {7, {{6, 4825709141LL}}}},
+         0x412e848000000000ULL,
+         0x3ff0000000000000ULL,
+         133,
+         40187},
+    };
+    auto topo = hw::Topology::dgx1V100();
+    mu::ThreadPool serial(1), pooled(4);
+    for (const Pinned &c : cases) {
+        SCOPED_TRACE(c.name);
+        pn::MappingResult want;
+        want.stageToGpu = c.place;
+        want.grants = c.grants;
+        want.score = std::bit_cast<double>(c.scoreBits);
+        want.coverage = std::bit_cast<double>(c.coverageBits);
+        for (mu::ThreadPool *pool : {&serial, &pooled}) {
+            auto got = pn::searchDeviceMapping(topo, c.demand, cap, {},
+                                               c.desire, pool);
+            expectSameMapping(got, want);
+            EXPECT_EQ(got.evaluated, c.evaluated);
+            EXPECT_EQ(got.pruned, c.pruned);
+        }
+    }
+
+    // The profile peaks above are the ones profileJob measures.
+    mm::TransformerModel mdl(mm::presetByName("bert-1.67b"), 12);
+    auto part = mp::partitionModel(mdl, 8, mp::Strategy::ComputeBalanced);
+    auto sched = pl::buildSchedule(pl::SystemKind::PipeDream, 8, 1, 24);
+    auto profile = pn::profileJob(topo, mdl, part, sched);
+    EXPECT_EQ(profile.stagePeak, cases[0].demand);
+    EXPECT_EQ(profile.usableCapacity, cap);
 }
 
 TEST(Mapper, RemapScanStopsAtFirstPerfectPlacement)
