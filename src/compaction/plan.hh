@@ -119,6 +119,12 @@ struct CompactionPlan
 
     /** Count of activation classes assigned @p kind. */
     int countKind(Kind kind) const;
+
+    /** GPUs hosting a D2D-swapped class, ascending: the only GPUs
+     *  whose spare grants the executor reads (on a D2D instance's
+     *  swap-out, demotion and swap-in).  Any other GPU's grants are
+     *  dead. */
+    std::vector<int> d2dGpus() const;
 };
 
 } // namespace compaction

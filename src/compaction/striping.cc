@@ -34,6 +34,19 @@ CompactionPlan::countKind(Kind kind) const
     return n;
 }
 
+std::vector<int>
+CompactionPlan::d2dGpus() const
+{
+    std::vector<int> gpus;
+    for (const auto &[ref, k] : activations) {
+        if (k == Kind::D2dSwap)
+            gpus.push_back(gpuForStage(ref.stage));
+    }
+    std::sort(gpus.begin(), gpus.end());
+    gpus.erase(std::unique(gpus.begin(), gpus.end()), gpus.end());
+    return gpus;
+}
+
 StripePlan
 makeStripePlan(const hw::Topology &topo, int src,
                const std::vector<SpareGrant> &grants, Bytes bytes)

@@ -1,7 +1,6 @@
 #include "planner/planner.hh"
 
 #include <algorithm>
-#include <set>
 
 #include "planner/portfolio.hh"
 #include "util/logging.hh"
@@ -144,17 +143,10 @@ certify(const hw::Topology &topo, const model::TransformerModel &mdl,
 void
 pruneDeadGrants(CompactionPlan &plan)
 {
-    std::set<int> live;
-    for (const auto &[ref, kind] : plan.activations)
-        if (kind == Kind::D2dSwap)
-            live.insert(plan.gpuForStage(ref.stage));
-    for (auto it = plan.spareGrants.begin();
-         it != plan.spareGrants.end();) {
-        if (!live.count(it->first))
-            it = plan.spareGrants.erase(it);
-        else
-            ++it;
-    }
+    const std::vector<int> live = plan.d2dGpus();
+    std::erase_if(plan.spareGrants, [&](const auto &entry) {
+        return !std::binary_search(live.begin(), live.end(), entry.first);
+    });
 }
 
 } // namespace

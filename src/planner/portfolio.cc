@@ -845,6 +845,9 @@ class BestFirst final : public Strategy
     {
         CompactionPlan plan = materializePlan(
             state, _ctx.mapping, _ctx.cfg.d2dStriping);
+        // The key leaves dead grants out, but every state here
+        // materializes with the one mapping's grants, so two distinct
+        // states never share a key through their grants alone.
         std::string key = SearchDriver::trialKeyBinary(
             plan, _ctx.driver.trialConfig(), "");
         if (!_seen.insert(std::move(key)).second)

@@ -192,10 +192,21 @@ SearchDriver::trialKeyBinary(const compaction::CompactionPlan &plan,
         key, static_cast<std::uint32_t>(plan.stageToGpu.size()));
     for (int g : plan.stageToGpu)
         putScalar<std::int32_t>(key, g);
+    // Only live grants: the executor never reads the grants of a GPU
+    // outside plan.d2dGpus(), so two plans that differ only in such
+    // dead grants emulate alike and share an entry.
+    const std::vector<int> live = plan.d2dGpus();
+    auto is_live = [&](int gpu) {
+        return std::binary_search(live.begin(), live.end(), gpu);
+    };
+    std::uint32_t live_lists = 0;
+    for (const auto &entry : plan.spareGrants)
+        live_lists += is_live(entry.first) ? 1 : 0;
     key.push_back('G');
-    putScalar<std::uint32_t>(
-        key, static_cast<std::uint32_t>(plan.spareGrants.size()));
+    putScalar<std::uint32_t>(key, live_lists);
     for (const auto &[gpu, grants] : plan.spareGrants) {
+        if (!is_live(gpu))
+            continue;
         putScalar<std::int32_t>(key, gpu);
         putScalar<std::uint32_t>(
             key, static_cast<std::uint32_t>(grants.size()));

@@ -271,8 +271,10 @@ class SearchDriver
      * Memoization key of one trial within a job: the plan, the
      * executor-config fields that shape an emulation and the
      * scenario id ("" for fault-free trials), as tagged,
-     * length-prefixed binary sections — injective, so two runs with
-     * equal keys are the same pure function call and the cached
+     * length-prefixed binary sections.  The plan's dead grants (those
+     * of a GPU hosting no D2D-swapped class) are left out: no
+     * emulation reads them.  Injective on everything else, so two
+     * runs with equal keys emulate alike and the cached
      * TrainingReport is byte-identical to a re-run.  The cache keys
      * on jobKey() + this; the portfolio's best-first frontier uses it
      * to deduplicate candidate plans.

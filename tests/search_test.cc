@@ -147,8 +147,10 @@ operator delete[](void *p, const std::nothrow_t &) noexcept
 #include "model/model.hh"
 #include "partition/partition.hh"
 #include "pipeline/schedule.hh"
+#include "planner/mapper.hh"
 #include "planner/planner.hh"
 #include "planner/search.hh"
+#include "report_bytes.hh"
 #include "util/pool.hh"
 
 namespace cl = mpress::cluster;
@@ -834,6 +836,136 @@ TEST(TrialCache, SignatureDistinguishesConfigAndScenario)
 
     auto other = swapAll(job.part);
     EXPECT_NE(key(other, cfg, ""), base);
+}
+
+TEST(TrialCache, DeadGrantsStayOutOfTheKey)
+{
+    // A GPU's grants are read only on a D2D instance's path, so those
+    // of a GPU hosting no D2D-swapped class are dead: plans that
+    // differ only in them share a key, and the keys differ once the
+    // same grants are live.
+    Job job("bert-1.67b");
+    rt::ExecutorConfig cfg;
+    auto key = [&](const cp::CompactionPlan &p) {
+        return pn::SearchDriver::trialKeyBinary(p, cfg, "");
+    };
+    const cp::CompactionPlan bare = recomputeAll(job.part);
+    cp::CompactionPlan a = bare, b = bare;
+    a.spareGrants[0] = {{4, 2 * mu::kGB}};
+    b.spareGrants[0] = {{5, 3 * mu::kGB}};
+    b.spareGrants[1] = {{6, mu::kGB}};
+    EXPECT_EQ(key(a), key(b));
+    EXPECT_EQ(key(a), key(bare));
+
+    // D2D-swapping one class of stage 0 makes GPU 0's grants live;
+    // GPU 1's stay dead.
+    const cp::TensorRef first{
+        0, static_cast<int>(job.part.stages[0].firstLayer)};
+    a.activations[first] = cp::Kind::D2dSwap;
+    b.activations[first] = cp::Kind::D2dSwap;
+    EXPECT_NE(key(a), key(b));
+    cp::CompactionPlan b_live_only = b;
+    b_live_only.spareGrants.erase(1);
+    EXPECT_EQ(key(b), key(b_live_only));
+
+    // Liveness follows the mapping: with stage 0 on GPU 3, GPU 3's
+    // grants are live and GPU 0's are dead.
+    cp::CompactionPlan m = a;
+    m.stageToGpu = {3, 0, 1, 2, 4, 5, 6, 7};
+    cp::CompactionPlan m2 = m;
+    m2.spareGrants[0] = {{7, mu::kGB}};
+    EXPECT_EQ(key(m), key(m2));
+    m2.spareGrants[3] = {{7, mu::kGB}};
+    EXPECT_NE(key(m), key(m2));
+}
+
+namespace {
+
+/** Fig. 8's job: gpt-25.5b on DGX-2 under DAPPLE, microbatch 2,
+ *  64-microbatch minibatches, 2 minibatches. */
+struct GptJob
+{
+    hw::Topology topo = hw::Topology::dgx2A100();
+    mm::TransformerModel mdl{mm::presetByName("gpt-25.5b"), 2};
+    mp::Partition part = mp::partitionModel(
+        mdl, topo.numGpus(), mp::Strategy::ComputeBalanced);
+    pl::Schedule sched = pl::buildSchedule(pl::SystemKind::Dapple,
+                                           topo.numGpus(), 64, 2);
+};
+
+} // namespace
+
+TEST(TrialCache, DeadGrantsDoNotChangeTheReport)
+{
+    // The gpt seed plan swaps and recomputes but D2D-swaps nothing, so
+    // the grants the planner's re-map adds to it are dead, and the
+    // re-map trial replays the seed.  Fresh recorded runs of a
+    // D2D-free plan with a re-map scan's grants (over its own peaks,
+    // 2 GB desired per stage), with other grants and with none render
+    // the same report bytes.
+    GptJob job;
+    cp::CompactionPlan none = pn::gpuCpuSwapAllPlan(job.part);
+    auto seed =
+        rt::runTraining(job.topo, job.mdl, job.part, job.sched, none);
+    ASSERT_FALSE(seed.oom);
+    std::vector<mu::Bytes> demand, desire;
+    for (const auto &gpu : seed.gpus) {
+        demand.push_back(gpu.peak);
+        desire.push_back(2 * mu::kGB);
+    }
+    pn::MappingResult mapping = pn::searchDeviceMapping(
+        job.topo, demand,
+        pn::profileJob(job.topo, job.mdl, job.part, job.sched)
+            .usableCapacity,
+        {}, desire);
+    ASSERT_FALSE(mapping.grants.empty());
+
+    none.stageToGpu = mapping.stageToGpu;
+    cp::CompactionPlan scanned = none;
+    scanned.spareGrants = mapping.grants;
+    cp::CompactionPlan other = none;
+    other.spareGrants[7] = {{0, 4 * mu::kGB}, {1, 2 * mu::kGB}};
+
+    rt::ExecutorConfig cfg;
+    cfg.record = true;
+    auto bytes = [&](const cp::CompactionPlan &plan) {
+        return mpress::testing::renderReportBytes(rt::runTraining(
+            job.topo, job.mdl, job.part, job.sched, plan, cfg));
+    };
+    const std::string want = bytes(none);
+    EXPECT_EQ(bytes(scanned), want);
+    EXPECT_EQ(bytes(other), want);
+    rt::ExecutorConfig trial;
+    EXPECT_EQ(pn::SearchDriver::trialKeyBinary(scanned, trial, ""),
+              pn::SearchDriver::trialKeyBinary(none, trial, ""));
+}
+
+TEST(TrialCache, GptRemapTrialHitsTheSeedEntry)
+{
+    // On Fig. 8's job the re-map trial differs from the seed only in
+    // dead grants, so it is a cache hit: 20 DES trials and 1 hit at
+    // any thread count, with the same plan as without the cache.
+    GptJob job;
+    pn::PlannerConfig serial;
+    serial.threads = 1;
+    pn::PlannerConfig uncached = serial;
+    uncached.trialCache = false;
+    const pn::PlannerConfig configs[] = {serial, pn::PlannerConfig{}};
+    auto reference = pn::planMPress(job.topo, job.mdl, job.part,
+                                    job.sched, uncached);
+    for (const pn::PlannerConfig &cfg : configs) {
+        SCOPED_TRACE(cfg.threads);
+        auto result =
+            pn::planMPress(job.topo, job.mdl, job.part, job.sched, cfg);
+        ASSERT_TRUE(result.feasible);
+        EXPECT_EQ(result.trialCacheHits, 1u);
+        EXPECT_EQ(result.trialCacheMisses, 20u);
+        EXPECT_EQ(cp::planToText(result.plan),
+                  cp::planToText(reference.plan));
+        EXPECT_EQ(mpress::testing::renderReportBytes(result.finalReport),
+                  mpress::testing::renderReportBytes(
+                      reference.finalReport));
+    }
 }
 
 TEST(TrialCache, ScenarioKeyCoversEventFields)
