@@ -1,6 +1,7 @@
 #include "api/session.hh"
 
 #include "cluster/cluster.hh"
+#include "planner/search.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -174,7 +175,15 @@ MPressSession::run() const
     }
 
     if (_cfg.verifyMode != VerifyMode::Off) {
-        result.verification = verifyPlan(result.plan);
+        // The planner strategies verify their plan as they return it;
+        // under the same options that report is reused, not redone.
+        const bool planned = _cfg.strategy == Strategy::D2dOnly ||
+                             _cfg.strategy == Strategy::MPressFull;
+        if (planned && verifyOptions() ==
+                           planner::verifierOptions(_cfg.executor))
+            result.verification = result.planResult.verification;
+        else
+            result.verification = verifyPlan(result.plan);
         if (_cfg.verifyMode == VerifyMode::Strict &&
             !result.verification.ok()) {
             result.rejected = true;
@@ -227,16 +236,22 @@ MPressSession::analyzePlan(
                                  opts);
 }
 
-verify::Report
-MPressSession::verifyPlan(const compaction::CompactionPlan &plan) const
+verify::Options
+MPressSession::verifyOptions() const
 {
     verify::Options opts = _cfg.verifyOptions;
     // Keep the capacity model consistent with what would execute.
     opts.memOverheadFactor = _cfg.executor.memOverheadFactor;
     opts.strict =
         opts.strict || _cfg.verifyMode == VerifyMode::Strict;
+    return opts;
+}
+
+verify::Report
+MPressSession::verifyPlan(const compaction::CompactionPlan &plan) const
+{
     return verify::verifyPlan(_topo, _mdl, _part, _sched, plan,
-                              opts);
+                              verifyOptions());
 }
 
 SessionResult

@@ -169,6 +169,10 @@ class MPressSession
     const pipeline::Schedule &schedule() const { return _sched; }
 
   private:
+    /** The options verifyPlan() checks under: verifyOptions with the
+     *  executor's memory factor, strict in a strict session. */
+    verify::Options verifyOptions() const;
+
     hw::Topology _topo;
     SessionConfig _cfg;
     model::TransformerModel _mdl;

@@ -188,6 +188,8 @@ struct Options
      *  the interval bounds are deliberately conservative and most
      *  workable compaction plans sit between the two. */
     bool analysis = false;
+
+    bool operator==(const Options &) const = default;
 };
 
 /**

@@ -133,3 +133,37 @@ TEST(Session, ZeroStrategiesPopulateZeroReport)
     EXPECT_GT(result.zeroReport.iterTime, 0);
     EXPECT_EQ(result.report.gpus.size(), 0u);  // pipeline unused
 }
+
+TEST(Session, PlannerVerificationIsReusedUnderTheSameOptions)
+{
+    // A permissive session checks under the planner's own options, so
+    // it reports the planner's verification of the plan, which renders
+    // as a fresh verifyPlan() does.  Other options verify the plan
+    // again: the analyzer rules add cap-unproven warnings on this plan,
+    // and strict mode promotes them to errors and rejects it.
+    auto topo = hw::Topology::dgx1V100();
+    auto cfg = baseConfig("bert-1.67b", 12, pl::SystemKind::PipeDream);
+    cfg.strategy = api::Strategy::MPressFull;
+    api::MPressSession permissive(topo, cfg);
+    auto result = permissive.run();
+    EXPECT_TRUE(result.verification.ok());
+    EXPECT_EQ(result.verification.render(),
+              permissive.verifyPlan(result.plan).render());
+    EXPECT_EQ(result.verification.render(),
+              result.planResult.verification.render());
+
+    cfg.verifyOptions.analysis = true;
+    api::MPressSession analyzed(topo, cfg);
+    auto with_analysis = analyzed.run();
+    EXPECT_EQ(with_analysis.verification.render(),
+              analyzed.verifyPlan(with_analysis.plan).render());
+    EXPECT_GT(with_analysis.verification.warningCount(), 0);
+    EXPECT_EQ(with_analysis.planResult.verification.warningCount(), 0);
+
+    cfg.verifyMode = api::VerifyMode::Strict;
+    api::MPressSession strict(topo, cfg);
+    auto rejected = strict.run();
+    EXPECT_TRUE(rejected.rejected);
+    EXPECT_GT(rejected.verification.errorCount(), 0);
+    EXPECT_TRUE(rejected.planResult.verification.ok());
+}
