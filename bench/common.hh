@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -41,9 +42,11 @@ namespace bench {
  * triples and writes them as BENCH_<suite>.json so CI (tools/check.sh)
  * can diff runs against a committed baseline.
  *
- * The file lands in $MPRESS_BENCH_DIR (or the working directory) and
- * carries the git revision and date the harness exports via
- * $MPRESS_GIT_REV / $MPRESS_BENCH_DATE.  When an override is absent
+ * The file lands in $MPRESS_BENCH_DIR, else next to the bench
+ * executable (never in the working directory, which is often the
+ * repository root with its committed baselines), and write() prints
+ * the path.  It carries the git revision and date the harness
+ * exports via $MPRESS_GIT_REV / $MPRESS_BENCH_DATE.  When an override is absent
  * the revision falls back to `git rev-parse --short HEAD` and the
  * date to the current UTC day, so ad-hoc runs stamp real provenance;
  * "unknown" appears only outside a git checkout.  Maps keep the
@@ -62,14 +65,13 @@ class BenchReport
         _metrics[bench][metric] = value;
     }
 
-    /** Write BENCH_<suite>.json; returns false on I/O failure. */
+    /** Write BENCH_<suite>.json and print where; returns false on I/O
+     *  failure. */
     bool
     write() const
     {
-        std::string dir = envOr("MPRESS_BENCH_DIR", "");
-        std::string path = dir.empty()
-                               ? "BENCH_" + _suite + ".json"
-                               : dir + "/BENCH_" + _suite + ".json";
+        std::string path =
+            outputDir() + "/BENCH_" + _suite + ".json";
         std::ofstream out(path);
         if (!out)
             return false;
@@ -92,10 +94,30 @@ class BenchReport
             out << "\n    }";
         }
         out << "\n  }\n}\n";
-        return static_cast<bool>(out);
+        out.close();
+        if (!out)
+            return false;
+        std::fprintf(stderr, "wrote %s\n", path.c_str());
+        return true;
     }
 
   private:
+    /** $MPRESS_BENCH_DIR, else the directory of the running
+     *  executable, else "." when /proc/self/exe cannot be read. */
+    static std::string
+    outputDir()
+    {
+        std::string dir = envOr("MPRESS_BENCH_DIR", "");
+        if (!dir.empty())
+            return dir;
+        std::error_code ec;
+        std::filesystem::path exe =
+            std::filesystem::read_symlink("/proc/self/exe", ec);
+        if (ec || !exe.has_parent_path())
+            return ".";
+        return exe.parent_path().string();
+    }
+
     static std::string
     envOr(const char *name, const char *fallback)
     {
