@@ -19,8 +19,8 @@
  *                             prints the certificate (per-GPU
  *                             peak-memory intervals, latency lower
  *                             bound, throughput upper bound) and adds
- *                             the cap-proved-overflow / cap-unproven
- *                             rules to the verification pass
+ *                             the cap-unproven rule to the
+ *                             verification pass
  *
  * Exit status: 0 when the plan verifies clean of errors, 3 when it is
  * rejected, 1 on usage errors.

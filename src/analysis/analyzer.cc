@@ -44,7 +44,7 @@ optOffloaded(const compaction::CompactionPlan &plan, int stage)
  *  minimum inter-arrival time @p arrival, clamped to the schedule's
  *  in-flight cap @p in_flight. */
 int
-hazardDepth(Tick service, Tick arrival, int in_flight, int lookahead)
+hazardDepth(Tick service, Tick arrival, int in_flight)
 {
     // Swap-out side: one in-forward + one in-transfer, plus backlog
     // when the lane cannot keep up with back-to-back warmup forwards.
@@ -55,54 +55,49 @@ hazardDepth(Tick service, Tick arrival, int in_flight, int lookahead)
         out += static_cast<int>(std::ceil(
             static_cast<double>(in_flight) * deficit));
     }
-    // Swap-in side: the prefetch window keeps up to lookahead
-    // instances (plus the one feeding the running backward) resident
-    // again ahead of their backward passes.
-    int in = lookahead + 1;
+    // Swap-in side: the prefetch window keeps up to
+    // kSwapInLookahead instances (plus the one feeding the running
+    // backward) resident again ahead of their backward passes.
+    int in = compaction::kSwapInLookahead + 1;
     int depth = out + in;
     return depth < in_flight ? depth : in_flight;
 }
 
-} // namespace
-
-AnalysisCertificate
-analyzePlan(const hw::Topology &topo, const model::TransformerModel &mdl,
-            const partition::Partition &part,
-            const pipeline::Schedule &sched,
-            const compaction::CompactionPlan &plan,
-            const AnalysisOptions &opts)
+/**
+ * The memory pass shared by boundMemory() and analyzePlan(): fills
+ * every field of @p bounds but `valid`, and @p costs for the latency
+ * pass.  False when the tuple's memory cannot be bounded.
+ */
+bool
+memoryPass(const hw::Topology &topo, const model::TransformerModel &mdl,
+           const partition::Partition &part,
+           const pipeline::Schedule &sched,
+           const compaction::CompactionPlan &plan, MemoryBounds &bounds,
+           std::vector<StageCosts> &costs)
 {
-    AnalysisCertificate cert;
-    cert.throughputUpperBound =
-        std::numeric_limits<double>::infinity();
-
     const int num_stages = part.numStages();
     const int num_gpus = topo.numGpus();
     if (num_stages <= 0 || num_gpus <= 0 ||
         sched.numStages != num_stages)
-        return cert;
+        return false;
     if (!plan.stageToGpu.empty() &&
         static_cast<int>(plan.stageToGpu.size()) != num_stages)
-        return cert;
+        return false;
     for (int s = 0; s < num_stages; ++s) {
         int gpu = plan.gpuForStage(s);
         if (gpu < 0 || gpu >= num_gpus)
-            return cert;
+            return false;
     }
 
     const hw::GpuSpec &gpu_spec = topo.gpu();
     const Precision prec = mdl.config().precision;
     const hw::LinkSpec &pcie = topo.pcieSpec();
 
-    double factor =
-        opts.memOverheadFactor > 0.0 ? opts.memOverheadFactor : 1.0;
-    cert.usableCapacity = static_cast<Bytes>(
-        static_cast<double>(gpu_spec.memCapacity) / factor);
-    cert.hostCapacity = topo.hostMemory();
+    bounds.usableCapacity = gpu_spec.usableCapacity();
+    bounds.hostCapacity = topo.hostMemory();
 
     // ---- Per-stage cost model --------------------------------------
-    std::vector<StageCosts> costs(
-        static_cast<std::size_t>(num_stages));
+    costs.assign(static_cast<std::size_t>(num_stages), StageCosts{});
     for (int s = 0; s < num_stages; ++s) {
         const partition::Stage &stage =
             part.stages[static_cast<std::size_t>(s)];
@@ -142,13 +137,13 @@ analyzePlan(const hw::Topology &topo, const model::TransformerModel &mdl,
         static_cast<std::size_t>(num_gpus), 0);
     for (const auto &entry : plan.spareGrants) {
         if (entry.first < 0 || entry.first >= num_gpus)
-            return cert;
+            return false;
         for (const compaction::SpareGrant &grant : entry.second) {
             if (grant.budget <= 0)
                 continue;
             if (grant.importerGpu < 0 ||
                 grant.importerGpu >= num_gpus)
-                return cert;
+                return false;
             export_budget[static_cast<std::size_t>(entry.first)] +=
                 grant.budget;
             import_grant[static_cast<std::size_t>(
@@ -164,11 +159,11 @@ analyzePlan(const hw::Topology &topo, const model::TransformerModel &mdl,
     //   GpuCpuSwap  lower += 0                  upper += stash*hazard
     //   D2dSwap     lower += max(0, demand-budget)  (aggregate)
     //               upper += stash*hazard + shortfall + import grants
-    cert.gpus.resize(static_cast<std::size_t>(num_gpus));
+    bounds.gpus.resize(static_cast<std::size_t>(num_gpus));
     std::vector<Bytes> d2d_demand(
         static_cast<std::size_t>(num_gpus), 0);
     for (int g = 0; g < num_gpus; ++g)
-        cert.gpus[static_cast<std::size_t>(g)].gpu = g;
+        bounds.gpus[static_cast<std::size_t>(g)].gpu = g;
 
     Bytes host_static = 0;
     Bytes host_swap = 0;
@@ -177,7 +172,7 @@ analyzePlan(const hw::Topology &topo, const model::TransformerModel &mdl,
             part.stages[static_cast<std::size_t>(s)];
         const StageCosts &c = costs[static_cast<std::size_t>(s)];
         GpuMemoryBound &b =
-            cert.gpus[static_cast<std::size_t>(c.gpu)];
+            bounds.gpus[static_cast<std::size_t>(c.gpu)];
         const Bytes in_flight = c.inFlight;
 
         int versions = sched.weightVersions(s);
@@ -201,9 +196,8 @@ analyzePlan(const hw::Topology &topo, const model::TransformerModel &mdl,
             swap_service += pcie.transferTime(c.swapD2hPerMb);
         if (c.stashOffloaded)
             swap_service += pcie.transferTime(stage.paramBytes);
-        int pcie_hazard = hazardDepth(swap_service, c.fwdTime,
-                                      c.inFlight,
-                                      opts.swapInLookahead);
+        int pcie_hazard =
+            hazardDepth(swap_service, c.fwdTime, c.inFlight);
         // Pessimistic single-lane service keeps the D2D hazard an
         // upper estimate even for unstriped plans.  On a cluster the
         // stripes may ride an inter-node NIC, which is slower than
@@ -216,9 +210,8 @@ analyzePlan(const hw::Topology &topo, const model::TransformerModel &mdl,
                     d2d_service,
                     topo.nicSpec().transferTime(c.d2dPerMb));
         }
-        int d2d_hazard = hazardDepth(d2d_service, c.fwdTime,
-                                     c.inFlight,
-                                     opts.swapInLookahead);
+        int d2d_hazard =
+            hazardDepth(d2d_service, c.fwdTime, c.inFlight);
 
         Bytes recompute_stash_max = 0;
         for (std::size_t l = stage.firstLayer; l <= stage.lastLayer;
@@ -255,7 +248,7 @@ analyzePlan(const hw::Topology &topo, const model::TransformerModel &mdl,
 
     for (int g = 0; g < num_gpus; ++g) {
         auto gi = static_cast<std::size_t>(g);
-        GpuMemoryBound &b = cert.gpus[gi];
+        GpuMemoryBound &b = bounds.gpus[gi];
         // D2D demand that no grant can fund stays resident on the
         // exporter; funded residency on importers is grant-bounded.
         Bytes shortfall =
@@ -264,25 +257,58 @@ analyzePlan(const hw::Topology &topo, const model::TransformerModel &mdl,
         b.upper += b.staticBytes + shortfall + import_grant[gi];
     }
 
-    cert.hostLower = host_static;
-    cert.hostUpper = host_static + host_swap;
+    bounds.hostLower = host_static;
+    bounds.hostUpper = host_static + host_swap;
 
     for (int g = 0; g < num_gpus; ++g) {
-        if (cert.gpus[static_cast<std::size_t>(g)].lower >
-            cert.usableCapacity) {
-            cert.provableOom = true;
-            cert.oomGpu = g;
+        if (bounds.gpus[static_cast<std::size_t>(g)].lower >
+            bounds.usableCapacity) {
+            bounds.provableOom = true;
+            bounds.oomGpu = g;
             break;
         }
     }
-    cert.provablyFits = !cert.provableOom;
-    for (int g = 0; g < num_gpus && cert.provablyFits; ++g) {
-        if (cert.gpus[static_cast<std::size_t>(g)].upper >
-            cert.usableCapacity)
-            cert.provablyFits = false;
+    bounds.provablyFits = !bounds.provableOom;
+    for (int g = 0; g < num_gpus && bounds.provablyFits; ++g) {
+        if (bounds.gpus[static_cast<std::size_t>(g)].upper >
+            bounds.usableCapacity)
+            bounds.provablyFits = false;
     }
-    if (cert.hostUpper > cert.hostCapacity)
-        cert.provablyFits = false;
+    if (bounds.hostUpper > bounds.hostCapacity)
+        bounds.provablyFits = false;
+    return true;
+}
+
+} // namespace
+
+MemoryBounds
+boundMemory(const hw::Topology &topo, const model::TransformerModel &mdl,
+            const partition::Partition &part,
+            const pipeline::Schedule &sched,
+            const compaction::CompactionPlan &plan)
+{
+    MemoryBounds bounds;
+    std::vector<StageCosts> costs;
+    bounds.valid = memoryPass(topo, mdl, part, sched, plan, bounds, costs);
+    return bounds;
+}
+
+AnalysisCertificate
+analyzePlan(const hw::Topology &topo, const model::TransformerModel &mdl,
+            const partition::Partition &part,
+            const pipeline::Schedule &sched,
+            const compaction::CompactionPlan &plan)
+{
+    AnalysisCertificate cert;
+    cert.throughputUpperBound =
+        std::numeric_limits<double>::infinity();
+    std::vector<StageCosts> costs;
+    if (!memoryPass(topo, mdl, part, sched, plan, cert, costs))
+        return cert;
+
+    const int num_stages = part.numStages();
+    const int num_gpus = topo.numGpus();
+    const hw::LinkSpec &pcie = topo.pcieSpec();
 
     // ---- Occupancy terms -------------------------------------------
     // Whole-window busy-time lower bounds per serial resource.  Wire

@@ -33,9 +33,10 @@
  *     throughputUpperBound   >= DES samples/sec
  *
  * The result is a machine-checkable AnalysisCertificate that the
- * planner attaches to PlanResult, `verify::` turns into the
- * cap-proved-overflow / cap-unproven rules, and the CLIs print under
- * `--analyze`.
+ * planner attaches to PlanResult and the CLIs print under
+ * `--analyze`.  Its memory half, boundMemory(), is the one static
+ * capacity model: `verify::` reads it for the cap-stage-overflow,
+ * cap-host-overflow, d2d-overcommit and cap-unproven rules.
  */
 
 #ifndef MPRESS_ANALYSIS_ANALYZER_HH
@@ -56,19 +57,6 @@ namespace analysis {
 using util::Bytes;
 using util::Tick;
 
-/** Analyzer tunables; mirror the ExecutorConfig fields that shape the
- *  memory trajectory so bounds match what would execute. */
-struct AnalysisOptions
-{
-    /** Capacity divisor matching ExecutorConfig::memOverheadFactor:
-     *  usable capacity = HBM capacity / factor. */
-    double memOverheadFactor = 1.10;
-
-    /** Swap-in prefetch depth (ExecutorConfig::swapInLookahead);
-     *  widens the swap hazard window on the importing side. */
-    int swapInLookahead = 4;
-};
-
 /** Peak-memory interval for one GPU. */
 struct GpuMemoryBound
 {
@@ -82,17 +70,19 @@ struct GpuMemoryBound
 };
 
 /**
- * The analyzer's verdict: interval memory bounds, latency/throughput
- * bounds and the derived capacity judgments.
+ * The memory half of the analyzer's verdict: per-GPU and host peak
+ * intervals against usable capacity, and the capacity judgments
+ * derived from them.
  */
-struct AnalysisCertificate
+struct MemoryBounds
 {
-    /** False when the tuple is structurally unanalyzable (mapping out
-     *  of range, cyclic schedule, stage-count mismatch); all other
-     *  fields are meaningless then and consumers must not prune. */
+    /** False when the tuple's memory cannot be bounded (stage-count
+     *  mismatch, mapping out of range, a grant naming an unknown
+     *  GPU); all other fields are meaningless then. */
     bool valid = false;
 
-    /** Per-GPU budget the bounds are judged against. */
+    /** Per-GPU budget the bounds are judged against
+     *  (hw::GpuSpec::usableCapacity()). */
     Bytes usableCapacity = 0;
 
     std::vector<GpuMemoryBound> gpus;
@@ -103,13 +93,6 @@ struct AnalysisCertificate
     Bytes hostUpper = 0;
     Bytes hostCapacity = 0;
 
-    /** No run of this tuple can finish faster than this. */
-    Tick latencyLowerBound = 0;
-
-    /** No run can sustain more samples/sec than this; +infinity when
-     *  the window is too short to bound steady state. */
-    double throughputUpperBound = 0.0;
-
     /** lower(g) > usableCapacity for some g: every run OOMs. */
     bool provableOom = false;
     int oomGpu = -1;  ///< first GPU proving the overflow (-1 if none)
@@ -117,6 +100,22 @@ struct AnalysisCertificate
     /** upper(g) <= usableCapacity everywhere and the host demand fits:
      *  no run of this tuple can OOM. */
     bool provablyFits = false;
+};
+
+/**
+ * The analyzer's verdict: the memory bounds plus latency and
+ * throughput bounds.  `valid` additionally requires an analyzable
+ * schedule DAG (task ids in range, acyclic); consumers must not prune
+ * on an invalid certificate.
+ */
+struct AnalysisCertificate : MemoryBounds
+{
+    /** No run of this tuple can finish faster than this. */
+    Tick latencyLowerBound = 0;
+
+    /** No run can sustain more samples/sec than this; +infinity when
+     *  the window is too short to bound steady state. */
+    double throughputUpperBound = 0.0;
 
     /** Render the certificate as an aligned text table. */
     std::string render() const;
@@ -126,19 +125,32 @@ struct AnalysisCertificate
 };
 
 /**
- * Statically analyze @p plan against the tuple without executing it.
+ * Bound @p plan's peak memory without executing it: the memory pass
+ * of analyzePlan() alone, without the latency pass over the task DAG.
+ * This is the repository's one static capacity model; the verifier's
+ * capacity rules read it on every planner trial.  Never panics on
+ * malformed input: structural problems clear MemoryBounds::valid.
+ */
+MemoryBounds boundMemory(const hw::Topology &topo,
+                         const model::TransformerModel &mdl,
+                         const partition::Partition &part,
+                         const pipeline::Schedule &sched,
+                         const compaction::CompactionPlan &plan);
+
+/**
+ * Statically analyze @p plan against the tuple without executing it:
+ * boundMemory()'s bounds, then the latency and throughput bounds.
  *
  * Never panics on malformed input: structural problems clear
- * AnalysisCertificate::valid instead.  Cost is O(tasks + edges),
- * a few microseconds for the corpus schedules — cheap enough to run
- * on every planner trial.
+ * AnalysisCertificate::valid instead.  Cost is O(tasks + edges), tens
+ * of microseconds on the Fig. 7 and Fig. 8 jobs, most of it the
+ * latency pass over the task DAG.
  */
 AnalysisCertificate analyzePlan(const hw::Topology &topo,
                                 const model::TransformerModel &mdl,
                                 const partition::Partition &part,
                                 const pipeline::Schedule &sched,
-                                const compaction::CompactionPlan &plan,
-                                const AnalysisOptions &opts = {});
+                                const compaction::CompactionPlan &plan);
 
 } // namespace analysis
 } // namespace mpress

@@ -179,8 +179,7 @@ MPressSession::run() const
         // under the same options that report is reused, not redone.
         const bool planned = _cfg.strategy == Strategy::D2dOnly ||
                              _cfg.strategy == Strategy::MPressFull;
-        if (planned && verifyOptions() ==
-                           planner::verifierOptions(_cfg.executor))
+        if (planned && verifyOptions() == verify::Options{})
             result.verification = result.planResult.verification;
         else
             result.verification = verifyPlan(result.plan);
@@ -228,20 +227,13 @@ analysis::AnalysisCertificate
 MPressSession::analyzePlan(
     const compaction::CompactionPlan &plan) const
 {
-    analysis::AnalysisOptions opts;
-    // Keep the capacity and swap models consistent with execution.
-    opts.memOverheadFactor = _cfg.executor.memOverheadFactor;
-    opts.swapInLookahead = _cfg.executor.swapInLookahead;
-    return analysis::analyzePlan(_topo, _mdl, _part, _sched, plan,
-                                 opts);
+    return analysis::analyzePlan(_topo, _mdl, _part, _sched, plan);
 }
 
 verify::Options
 MPressSession::verifyOptions() const
 {
     verify::Options opts = _cfg.verifyOptions;
-    // Keep the capacity model consistent with what would execute.
-    opts.memOverheadFactor = _cfg.executor.memOverheadFactor;
     opts.strict =
         opts.strict || _cfg.verifyMode == VerifyMode::Strict;
     return opts;

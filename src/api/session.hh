@@ -157,8 +157,7 @@ class MPressSession
 
     /** Run the static plan analyzer on @p plan against this session's
      *  job: per-GPU peak-memory intervals, a critical-path latency
-     *  lower bound, and a throughput upper bound, under the same
-     *  capacity model run() would execute with. */
+     *  lower bound, and a throughput upper bound. */
     analysis::AnalysisCertificate
     analyzePlan(const compaction::CompactionPlan &plan) const;
 
@@ -169,8 +168,8 @@ class MPressSession
     const pipeline::Schedule &schedule() const { return _sched; }
 
   private:
-    /** The options verifyPlan() checks under: verifyOptions with the
-     *  executor's memory factor, strict in a strict session. */
+    /** The options verifyPlan() checks under: verifyOptions, strict
+     *  in a strict session. */
     verify::Options verifyOptions() const;
 
     hw::Topology _topo;

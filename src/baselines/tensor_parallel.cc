@@ -36,9 +36,7 @@ runTensorParallel(const hw::Topology &topo,
             (1.0 / n + replicated_share));
     }
     report.gpuPeak = static_per_gpu + act;
-    const Bytes usable = static_cast<Bytes>(
-        static_cast<double>(topo.gpu().memCapacity) /
-        cfg.memOverheadFactor);
+    const Bytes usable = topo.gpu().usableCapacity();
     if (report.gpuPeak > usable) {
         report.oom = true;
         return report;

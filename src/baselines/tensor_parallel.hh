@@ -35,8 +35,6 @@ struct TensorParallelConfig
     int microbatch = 2;     ///< per-replica microbatch size
     /** NCCL-style collective efficiency vs aggregate NVLink peak. */
     double ringEfficiency = 0.7;
-    /** Workspace/fragmentation reserve. */
-    double memOverheadFactor = 1.10;
     /** All-reduces per block per direction (Megatron uses 2). */
     int allReducesPerBlock = 2;
 };

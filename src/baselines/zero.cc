@@ -72,9 +72,7 @@ runZero(const hw::Topology &topo, const model::ModelConfig &model_cfg,
                  boundaries + biggest_stash;
     report.gpuPeak = peak;
 
-    const Bytes usable = static_cast<Bytes>(
-        static_cast<double>(topo.gpu().memCapacity) /
-        cfg.memOverheadFactor);
+    const Bytes usable = topo.gpu().usableCapacity();
     if (peak > usable) {
         report.oom = true;
         return report;

@@ -58,9 +58,6 @@ struct ZeroConfig
      *  V100 at small per-GPU batch sit near 25-30%% MFU versus the
      *  ~40%% of resident-parameter training. */
     double computeEfficiency = 0.75;
-    /** Workspace/fragmentation reserve (same meaning as the
-     *  executor's memOverheadFactor). */
-    double memOverheadFactor = 1.10;
 };
 
 /** Result of a simulated ZeRO iteration. */

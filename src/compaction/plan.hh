@@ -36,6 +36,10 @@ enum class Kind
 /** Returns a short display name for @p kind. */
 const char *kindName(Kind kind);
 
+/** Swap-ins the executor keeps in flight ahead of a stage's backward
+ *  pass; the analyzer's swap hazard window assumes the same depth. */
+constexpr int kSwapInLookahead = 4;
+
 /** Spare-memory grant: an importer GPU lends bytes to an exporter. */
 struct SpareGrant
 {

@@ -76,6 +76,18 @@ struct GpuSpec
         return t < 1 ? 1 : t;
     }
 
+    /** HBM a training job may fill.  The rest, a tenth of this
+     *  budget, is held back for framework workspace, fragmentation
+     *  and communication buffers.  The executor's OOM line, the
+     *  analyzer's and verifier's capacity rules, the planner and the
+     *  baselines all judge memory against this one budget. */
+    Bytes
+    usableCapacity() const
+    {
+        return static_cast<Bytes>(static_cast<double>(memCapacity) /
+                                  1.10);
+    }
+
     /** Tesla P100 16 GB (the first NVLink generation, Sec. II-E). */
     static GpuSpec p100();
 

@@ -25,9 +25,7 @@ profileJob(const hw::Topology &topo,
     ProfileResult out;
     out.report = runtime::runTraining(topo, mdl, part, sched, {},
                                       exec_cfg);
-    out.usableCapacity = static_cast<Bytes>(
-        static_cast<double>(topo.gpu().memCapacity) /
-        exec_cfg.memOverheadFactor);
+    out.usableCapacity = topo.gpu().usableCapacity();
     // With the identity mapping, stage s ran on GPU s.
     out.stagePeak.resize(static_cast<std::size_t>(part.numStages()));
     for (int s = 0; s < part.numStages(); ++s) {
@@ -118,21 +116,6 @@ emulate(const hw::Topology &topo, const model::TransformerModel &mdl,
                                 exec_cfg);
 }
 
-/** Analysis certificate of @p plan, consistent with the emulator's
- *  capacity and swap-lookahead model. */
-analysis::AnalysisCertificate
-certify(const hw::Topology &topo, const model::TransformerModel &mdl,
-        const partition::Partition &part,
-        const pipeline::Schedule &sched, const CompactionPlan &plan,
-        const runtime::ExecutorConfig &exec_cfg)
-{
-    analysis::AnalysisOptions aopts;
-    aopts.memOverheadFactor = exec_cfg.memOverheadFactor;
-    aopts.swapInLookahead = exec_cfg.swapInLookahead;
-    return analysis::analyzePlan(topo, mdl, part, sched, plan,
-                                 aopts);
-}
-
 /** Drop spare grants whose exporter GPU has no D2D-swapped
  *  activation class left in the final plan.  The refine ladders
  *  un-swap classes freely, which can strand the mapper's eager
@@ -172,11 +155,10 @@ planMPress(const hw::Topology &topo,
     if (!any_overflow) {
         result.finalReport = std::move(profile.report);
         result.feasible = !result.finalReport.oom;
-        result.verification = verify::verifyPlan(
-            topo, mdl, part, sched, result.plan,
-            verifierOptions(exec_cfg));
-        result.certificate = certify(topo, mdl, part, sched,
-                                     result.plan, exec_cfg);
+        result.verification =
+            verify::verifyPlan(topo, mdl, part, sched, result.plan);
+        result.certificate =
+            analysis::analyzePlan(topo, mdl, part, sched, result.plan);
         return result;
     }
 
@@ -346,8 +328,8 @@ planMPress(const hw::Topology &topo,
         result.finalReport = std::move(current);
         result.feasible = false;
         result.verification = driver.verifier().check(result.plan);
-        result.certificate = certify(topo, mdl, part, sched,
-                                     result.plan, exec_cfg);
+        result.certificate =
+            analysis::analyzePlan(topo, mdl, part, sched, result.plan);
         record_search_stats();
         return result;
     }
@@ -402,7 +384,7 @@ planMPress(const hw::Topology &topo,
         TrialOutcome out2 = driver.evaluateOne(plan2);
         if (!out2.report.oom && out2.verified &&
             out2.report.samplesPerSec >=
-                current.samplesPerSec * (1.0 - cfg.acceptGain)) {
+                current.samplesPerSec * (1.0 - kAcceptGain)) {
             result.mapping = std::move(mapping2);
             plan = std::move(plan2);
             current = std::move(out2.report);
@@ -432,8 +414,8 @@ planMPress(const hw::Topology &topo,
     result.strategyStats = std::move(race.stats);
     result.feasible = true;
     result.verification = driver.verifier().check(result.plan);
-    result.certificate = certify(topo, mdl, part, sched, result.plan,
-                                 exec_cfg);
+    result.certificate =
+        analysis::analyzePlan(topo, mdl, part, sched, result.plan);
     record_search_stats();
     return result;
 }
@@ -456,11 +438,10 @@ planD2dOnly(const hw::Topology &topo,
     if (!any_overflow) {
         result.finalReport = std::move(profile.report);
         result.feasible = !result.finalReport.oom;
-        result.verification = verify::verifyPlan(
-            topo, mdl, part, sched, result.plan,
-            verifierOptions(exec_cfg));
-        result.certificate = certify(topo, mdl, part, sched,
-                                     result.plan, exec_cfg);
+        result.verification =
+            verify::verifyPlan(topo, mdl, part, sched, result.plan);
+        result.certificate =
+            analysis::analyzePlan(topo, mdl, part, sched, result.plan);
         return result;
     }
 
@@ -525,11 +506,10 @@ planD2dOnly(const hw::Topology &topo,
         emulate(topo, mdl, part, sched, plan, exec_cfg);
     result.feasible = !result.finalReport.oom;
     result.plan = std::move(plan);
-    result.verification = verify::verifyPlan(
-        topo, mdl, part, sched, result.plan,
-        verifierOptions(exec_cfg));
-    result.certificate = certify(topo, mdl, part, sched, result.plan,
-                                 exec_cfg);
+    result.verification =
+        verify::verifyPlan(topo, mdl, part, sched, result.plan);
+    result.certificate =
+        analysis::analyzePlan(topo, mdl, part, sched, result.plan);
     return result;
 }
 

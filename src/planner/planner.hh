@@ -50,6 +50,9 @@ constexpr int kD2dBatchPerStep = 8;
 /** Extra savings margin over the measured overflow when seeding. */
 constexpr double kSeedHeadroom = 0.03;
 
+/** Required relative throughput gain to accept a refinement. */
+constexpr double kAcceptGain = 0.002;
+
 /** Planner tunables. */
 struct PlannerConfig
 {
@@ -68,9 +71,6 @@ struct PlannerConfig
      *  Callers that already run many plans at once (a sweep, the
      *  serve daemon) set 1. */
     int threads = util::ThreadPool::hardwareThreads();
-
-    /** Required relative throughput gain to accept a refinement. */
-    double acceptGain = 0.002;
 
     /** Forwarded to CompactionPlan::d2dStriping (Fig. 9 ablation). */
     bool d2dStriping = true;

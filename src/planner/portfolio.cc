@@ -321,7 +321,7 @@ class GreedyWavefront final : public Strategy
     observeFlip(const std::vector<TrialOutcome> &outcomes)
     {
         int best = SearchDriver::pickBest(
-            outcomes, _cur.samplesPerSec, _ctx.cfg.acceptGain);
+            outcomes, _cur.samplesPerSec, kAcceptGain);
         if (best < 0) {
             _phase = Phase::Coarse;
             return;
@@ -376,7 +376,7 @@ class GreedyWavefront final : public Strategy
     observeCoarse(const std::vector<TrialOutcome> &outcomes)
     {
         int best = SearchDriver::pickBest(
-            outcomes, _cur.samplesPerSec, _ctx.cfg.acceptGain);
+            outcomes, _cur.samplesPerSec, kAcceptGain);
         if (best >= 0) {
             auto b = static_cast<std::size_t>(best);
             restore(_coarseKinds[b]);
@@ -438,7 +438,7 @@ class GreedyWavefront final : public Strategy
     observeFine(const std::vector<TrialOutcome> &outcomes)
     {
         int best = SearchDriver::pickBest(
-            outcomes, _cur.samplesPerSec, _ctx.cfg.acceptGain);
+            outcomes, _cur.samplesPerSec, kAcceptGain);
         if (best < 0) {
             _phase = Phase::Done;
             return;
@@ -555,7 +555,7 @@ class SimulatedAnneal final : public Strategy
                 adopt = static_cast<int>(i);
                 adopt_score = sc;
             }
-            if (o.accepted(_bestScore, _ctx.cfg.acceptGain)) {
+            if (o.accepted(_bestScore, kAcceptGain)) {
                 commitBest(materializePlan(_pending[i], _ctx.mapping,
                                            _ctx.cfg.d2dStriping),
                            o);
@@ -722,7 +722,7 @@ class BestFirst final : public Strategy
         _pending.clear();
         std::vector<CompactionPlan> trials;
         const double floor =
-            _ctx.shared.score() * (1.0 + _ctx.cfg.acceptGain);
+            _ctx.shared.score() * (1.0 + kAcceptGain);
         while (static_cast<int>(trials.size()) < kWidth &&
                !_frontier.empty()) {
             if (_frontier.top().ub <= floor) {
@@ -747,7 +747,7 @@ class BestFirst final : public Strategy
     {
         for (std::size_t i = 0; i < outcomes.size(); ++i) {
             const TrialOutcome &o = outcomes[i];
-            if (!o.accepted(_bestScore, _ctx.cfg.acceptGain))
+            if (!o.accepted(_bestScore, kAcceptGain))
                 continue;
             commitBest(materializePlan(_pending[i], _ctx.mapping,
                                        _ctx.cfg.d2dStriping),
@@ -852,13 +852,8 @@ class BestFirst final : public Strategy
             plan, _ctx.driver.trialConfig(), "");
         if (!_seen.insert(std::move(key)).second)
             return;
-        analysis::AnalysisOptions aopts;
-        aopts.memOverheadFactor =
-            _ctx.driver.trialConfig().memOverheadFactor;
-        aopts.swapInLookahead =
-            _ctx.driver.trialConfig().swapInLookahead;
         analysis::AnalysisCertificate cert = analysis::analyzePlan(
-            _ctx.topo, _ctx.mdl, _ctx.part, _ctx.sched, plan, aopts);
+            _ctx.topo, _ctx.mdl, _ctx.part, _ctx.sched, plan);
         if (!cert.valid || cert.provableOom)
             return;
         _frontier.push(

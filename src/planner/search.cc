@@ -217,14 +217,10 @@ SearchDriver::trialKeyBinary(const compaction::CompactionPlan &plan,
     }
     key.push_back(plan.d2dStriping ? 1 : 0);
     key.push_back('C');
-    putScalar<double>(key, cfg.memOverheadFactor);
-    putScalar<std::int32_t>(key, cfg.swapInLookahead);
     key.push_back(static_cast<char>(
         (cfg.recordLiveness ? 1 : 0) | (cfg.record ? 2 : 0) |
         (cfg.failFastOnOom ? 8 : 0) | (cfg.faultLadder ? 16 : 0)));
     putScalar<std::int32_t>(key, cfg.maxTransferRetries);
-    putScalar<std::int64_t>(
-        key, static_cast<std::int64_t>(cfg.retryBackoff));
     key.push_back('S');
     putScalar<std::uint32_t>(
         key, static_cast<std::uint32_t>(scenario_id.size()));
@@ -240,7 +236,7 @@ SearchDriver::SearchDriver(const hw::Topology &topo,
                            util::ThreadPool &pool)
     : _topo(topo), _mdl(mdl), _part(part), _sched(sched),
       _execCfg(exec_cfg), _pool(pool),
-      _verifier(topo, mdl, part, sched, verifierOptions(exec_cfg)),
+      _verifier(topo, mdl, part, sched),
       _jobKey(jobKeyFor(topo, mdl, part, sched))
 {
     // Every trial is a scoring run, never a profiling or recorded
@@ -487,14 +483,6 @@ SearchDriver::pickBest(const std::vector<TrialOutcome> &outcomes,
         }
     }
     return best;
-}
-
-verify::Options
-verifierOptions(const runtime::ExecutorConfig &exec_cfg)
-{
-    verify::Options opts;
-    opts.memOverheadFactor = exec_cfg.memOverheadFactor;
-    return opts;
 }
 
 std::map<int, Bytes>

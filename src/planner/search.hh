@@ -293,7 +293,7 @@ class SearchDriver
     }
 
     /** The verifier every trial goes through; its check() equals
-     *  verifyPlan() with verifierOptions(trialConfig()). */
+     *  verifyPlan() with default options. */
     const verify::PlanVerifier &verifier() const { return _verifier; }
 
     /** Content key of a fault scenario (name, seed, every event
@@ -360,9 +360,6 @@ class SearchDriver
     /** This driver's probes, counted on the calling thread. */
     TrialCacheStats _stats;
 };
-
-/** Verifier options consistent with the emulator's capacity model. */
-verify::Options verifierOptions(const runtime::ExecutorConfig &exec_cfg);
 
 /** One refinement flip candidate as seen by the budget gate. */
 struct FlipCandidate

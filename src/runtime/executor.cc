@@ -39,6 +39,10 @@ constexpr std::uint8_t kNoOverride = 0xff;
 /** Consecutive over-water runs before an arena releases slabs. */
 constexpr int kShrinkAfter = 8;
 
+/** Delay before the first retry of a failed D2D stripe; doubles per
+ *  attempt. */
+constexpr Tick kRetryBackoff = 20 * util::kUsec;
+
 /** The state of one training run: built by runTraining(), run once,
  *  and moved out as the report. */
 struct TrainingRun
@@ -314,26 +318,15 @@ struct TrainingRun
                 util::fatal("stage mapped to invalid GPU %d", g);
         }
 
-        if (!(cfg.memOverheadFactor > 0.0))
-            util::fatal("memOverheadFactor must be positive, got %g",
-                        cfg.memOverheadFactor);
-        if (cfg.swapInLookahead <= 0)
-            util::fatal("swapInLookahead must be positive, got %d",
-                        cfg.swapInLookahead);
         if (cfg.maxTransferRetries < 0)
             util::fatal("maxTransferRetries must be >= 0, got %d",
                         cfg.maxTransferRetries);
-        if (cfg.retryBackoff < 0)
-            util::fatal("retryBackoff must be >= 0, got %lld",
-                        static_cast<long long>(cfg.retryBackoff));
 
         numNodes = topo.multiNodeFabric() ? topo.numNodes() : 1;
         precision = mdl.config().precision;
         setupEngines();
 
-        const Bytes effective = static_cast<Bytes>(
-            static_cast<double>(topo.gpu().memCapacity) /
-            cfg.memOverheadFactor);
+        const Bytes effective = topo.gpu().usableCapacity();
         for (int g = 0; g < topo.numGpus(); ++g) {
             compute.push_back(std::make_unique<sim::Stream>(
                 *engine, util::strformat("gpu%d.compute", g)));
@@ -1178,7 +1171,7 @@ struct TrainingRun
             ++ns.faults.retries;
             ns.obsData.metrics.add(mFaultRetry, engine->now(),
                                    1.0);
-            engine->scheduleIn(cfg.retryBackoff << try_no,
+            engine->scheduleIn(kRetryBackoff << try_no,
                                [this, key, idx, try_no]() {
                                    issueSwapOutStripe(key, idx,
                                                       try_no + 1);
@@ -1374,7 +1367,7 @@ struct TrainingRun
     issuePrefetches(BwdChain &chain)
     {
         while (chain.nextPrefetch < chain.numLayers &&
-               chain.inflightSwapIns < cfg.swapInLookahead) {
+               chain.inflightSwapIns < compaction::kSwapInLookahead) {
             std::size_t pos = chain.layerAt(chain.nextPrefetch);
             InstanceKey key{{chain.task->stage,
                              static_cast<int>(pos)},
@@ -1498,7 +1491,7 @@ struct TrainingRun
         if (try_no < cfg.maxTransferRetries) {
             ++ns.faults.retries;
             ns.obsData.metrics.add(mFaultRetry, engine->now(), 1.0);
-            engine->scheduleIn(cfg.retryBackoff << try_no,
+            engine->scheduleIn(kRetryBackoff << try_no,
                                [this, key, idx, try_no]() {
                                    issueSwapInStripe(key, idx,
                                                      try_no + 1);

@@ -80,13 +80,6 @@ struct ExecutorArena
 /** Executor tunables. */
 struct ExecutorConfig
 {
-    /** Fraction of HBM reserved for framework workspace, fragmentation
-     *  and comm buffers; effective capacity = capacity / factor. */
-    double memOverheadFactor = 1.10;
-
-    /** Maximum swap-ins kept in flight ahead of the backward pass. */
-    int swapInLookahead = 4;
-
     /** Record per-tensor live intervals (profiling runs).  Separate
      *  from @ref record: every plan's profile run needs liveness and
      *  must not pay for a trace. */
@@ -109,17 +102,15 @@ struct ExecutorConfig
     const fault::Scenario *faults = nullptr;
 
     /** Degradation ladder for injected D2D failures: a failed stripe
-     *  is retried with backoff, then the instance falls back to
-     *  GPU-CPU swap, then to recomputation, before failFastOnOom
-     *  semantics apply.  With the ladder off a failed stripe is
-     *  simply lost and the run deadlocks into an OOM report. */
+     *  is retried with backoff (20 us, doubling per attempt), then
+     *  the instance falls back to GPU-CPU swap, then to
+     *  recomputation, before failFastOnOom semantics apply.  With the
+     *  ladder off a failed stripe is simply lost and the run
+     *  deadlocks into an OOM report. */
     bool faultLadder = true;
 
     /** Retries per failed D2D stripe before falling back. */
     int maxTransferRetries = 3;
-
-    /** Delay before the first stripe retry; doubles per attempt. */
-    util::Tick retryBackoff = 20 * util::kUsec;
 
     /** No effect: every topology runs on one engine.  Kept only
      *  because hostbench still sets it; it goes with the next

@@ -57,8 +57,6 @@ ruleName(Rule rule)
         return "cap-stage-overflow";
       case Rule::CapHostOverflow:
         return "cap-host-overflow";
-      case Rule::CapProvedOverflow:
-        return "cap-proved-overflow";
       case Rule::CapUnproven:
         return "cap-unproven";
       case Rule::D2dSelfGrant:
@@ -759,108 +757,34 @@ checkFabricPaths(const hw::Topology &topo,
     }
 }
 
-/** Per-GPU projected memory demand under the plan (optimistic: swap
- *  classes count zero resident bytes). */
-struct CapacityProjection
-{
-    std::vector<Bytes> demandOnGpu;     ///< projected peak per GPU
-    std::vector<Bytes> stageDemand;     ///< per-stage contribution
-    Bytes hostDemand = 0;               ///< pinned-host bytes
-};
-
-CapacityProjection
-projectCapacity(const hw::Topology &topo,
-                const model::TransformerModel &mdl,
-                const partition::Partition &part,
-                const Schedule &sched, const CompactionPlan &plan)
-{
-    CapacityProjection out;
-    out.demandOnGpu.assign(static_cast<std::size_t>(topo.numGpus()),
-                           0);
-    out.stageDemand.assign(
-        static_cast<std::size_t>(part.numStages()), 0);
-
-    for (const auto &stage : part.stages) {
-        const int s = stage.index;
-        const int inflight = sched.maxInFlight(s);
-        int versions = sched.weightVersions(s);
-        bool stash_offloaded =
-            plan.stashOffloaded(s) && versions > 2;
-        if (stash_offloaded) {
-            out.hostDemand +=
-                stage.paramBytes * (versions - 2);
-            versions = 2;
-        }
-
-        bool opt_offloaded =
-            static_cast<std::size_t>(s) <
-                plan.offloadOptState.size() &&
-            plan.offloadOptState[static_cast<std::size_t>(s)];
-        if (opt_offloaded)
-            out.hostDemand += stage.optStateBytes;
-
-        Bytes demand = stage.paramBytes * versions + stage.gradBytes +
-                       (opt_offloaded ? 0 : stage.optStateBytes);
-
-        const int gpu = gpuForStage(plan, s);
-        bool has_grants = false;
-        auto grants = plan.spareGrants.find(gpu);
-        if (grants != plan.spareGrants.end()) {
-            for (const auto &g : grants->second)
-                has_grants |= g.budget > 0;
-        }
-
-        for (std::size_t l = stage.firstLayer; l <= stage.lastLayer;
-             ++l) {
-            const auto &layer = mdl.layer(l);
-            Kind kind = plan.kindFor({s, static_cast<int>(l)});
-            switch (kind) {
-              case Kind::None:
-                demand += layer.activationStash * inflight;
-                break;
-              case Kind::Recompute:
-                // Stash dropped; the segment-boundary activation
-                // stays resident per in-flight instance.
-                demand += layer.outputBytes * inflight;
-                break;
-              case Kind::GpuCpuSwap:
-                out.hostDemand +=
-                    layer.activationStash * inflight;
-                break;
-              case Kind::D2dSwap:
-                // With no grant to draw on the runtime keeps the
-                // instances resident (d2dOverflow), so they count.
-                if (!has_grants)
-                    demand += layer.activationStash * inflight;
-                break;
-            }
-        }
-        out.stageDemand[static_cast<std::size_t>(s)] = demand;
-        out.demandOnGpu[static_cast<std::size_t>(gpu)] += demand;
-    }
-    return out;
-}
-
-/** Capacity pass: projected per-GPU peak vs usable capacity, plus the
- *  pinned-host budget. */
+/** Capacity pass over the plan's peak-memory bounds: one
+ *  cap-stage-overflow per GPU whose lower bound exceeds usable
+ *  capacity (at its first stage, in stage order), cap-host-overflow
+ *  when the pinned-host upper bound exceeds host memory, and, with
+ *  Options::analysis, cap-unproven for each GPU whose upper bound
+ *  alone exceeds capacity. */
 void
 checkCapacity(const hw::Topology &topo,
               const partition::Partition &part,
               const CompactionPlan &plan,
-              const CapacityProjection &proj, Bytes capacity,
+              const analysis::MemoryBounds &bounds, bool analysis,
               Report &report, bool strict)
 {
+    const Bytes capacity = bounds.usableCapacity;
+    std::vector<char> flagged(bounds.gpus.size(), 0);
     for (const auto &stage : part.stages) {
         const int gpu = gpuForStage(plan, stage.index);
-        Bytes on_gpu = proj.demandOnGpu[static_cast<std::size_t>(gpu)];
-        if (on_gpu <= capacity)
+        const auto g = static_cast<std::size_t>(gpu);
+        const Bytes lower = bounds.gpus[g].lower;
+        if (lower <= capacity || flagged[g])
             continue;
+        flagged[g] = 1;
         Finding(report, strict, Rule::CapStageOverflow)
             .stage(stage.index)
             .gpu(gpu)
-            .msg(strformat("projected peak %s on GPU %d exceeds"
-                           " usable capacity %s",
-                           util::formatBytes(on_gpu).c_str(), gpu,
+            .msg(strformat("peak >= %s on GPU %d exceeds usable"
+                           " capacity %s: every run of this plan OOMs",
+                           util::formatBytes(lower).c_str(), gpu,
                            util::formatBytes(capacity).c_str()))
             .hint("assign more activation classes to recompute or"
                   " swap, offload optimizer state, or rebalance the"
@@ -868,11 +792,11 @@ checkCapacity(const hw::Topology &topo,
     }
 
     Bytes host = topo.hostMemory();
-    if (host > 0 && proj.hostDemand > host) {
+    if (host > 0 && bounds.hostUpper > host) {
         Finding(report, strict, Rule::CapHostOverflow)
-            .msg(strformat("projected pinned-host demand %s exceeds"
-                           " host memory %s",
-                           util::formatBytes(proj.hostDemand).c_str(),
+            .msg(strformat("pinned-host demand %s exceeds host"
+                           " memory %s",
+                           util::formatBytes(bounds.hostUpper).c_str(),
                            util::formatBytes(host).c_str()))
             .hint(topo.nvmeCapacity() > 0
                       ? "the overflow spills to NVMe at SSD"
@@ -880,15 +804,32 @@ checkCapacity(const hw::Topology &topo,
                       : "swap-outs beyond the pool stay resident on"
                         " the GPU");
     }
+
+    if (!analysis)
+        return;
+    for (const analysis::GpuMemoryBound &b : bounds.gpus) {
+        if (b.lower > capacity || b.upper <= capacity)
+            continue;
+        Finding(report, strict, Rule::CapUnproven)
+            .gpu(b.gpu)
+            .msg(strformat("peak bound [%s, %s] straddles usable"
+                           " capacity %s: cannot prove the plan fits",
+                           util::formatBytes(b.lower).c_str(),
+                           util::formatBytes(b.upper).c_str(),
+                           util::formatBytes(capacity).c_str()))
+            .hint("tighten swap hazard windows (more grant budget,"
+                  " fewer swapped classes) to close the interval");
+    }
 }
 
-/** D2D spare-grant soundness pass. */
+/** D2D spare-grant soundness pass.  Overcommit needs the importers'
+ *  peak bounds, so it is skipped when @p bounds is invalid. */
 void
 checkGrants(const hw::Topology &topo,
             const partition::Partition &part,
             const CompactionPlan &plan,
-            const CapacityProjection &proj, Bytes capacity,
-            Report &report, bool strict)
+            const analysis::MemoryBounds &bounds, Report &report,
+            bool strict)
 {
     // Stages with D2D-assigned classes, keyed by their GPU.
     std::set<int> d2d_gpus;
@@ -994,18 +935,21 @@ checkGrants(const hw::Topology &topo,
         }
     }
 
-    // Importer overcommit: granted bytes beyond the importer's
-    // projected spare.
+    // Importer overcommit: granted bytes beyond the spare above the
+    // importer's peak lower bound.
     for (const auto &[imp, bytes] : imported) {
+        if (!bounds.valid)
+            break;
         Bytes spare =
-            capacity - proj.demandOnGpu[static_cast<std::size_t>(imp)];
+            bounds.usableCapacity -
+            bounds.gpus[static_cast<std::size_t>(imp)].lower;
         if (spare < 0)
             spare = 0;
         if (bytes > spare) {
             Finding(report, strict, Rule::D2dOvercommit)
                 .gpu(imp)
-                .msg(strformat("GPU %d granted %s but projects only"
-                               " %s spare",
+                .msg(strformat("GPU %d granted %s but has only %s"
+                               " spare",
                                imp, util::formatBytes(bytes).c_str(),
                                util::formatBytes(spare).c_str()))
                 .hint("imported tensors would push the importer past"
@@ -1300,51 +1244,14 @@ PlanVerifier::check(const CompactionPlan &plan) const
     if (_depsSound)
         checkFabricPaths(_topo, _stageEdges, plan, report, strict);
 
-    const Bytes capacity = static_cast<Bytes>(
-        static_cast<double>(_topo.gpu().memCapacity) /
-        _opts.memOverheadFactor);
-    CapacityProjection proj =
-        projectCapacity(_topo, _mdl, _part, _sched, plan);
-    checkCapacity(_topo, _part, plan, proj, capacity, report, strict);
-    checkGrants(_topo, _part, plan, proj, capacity, report, strict);
-
-    if (_opts.analysis) {
-        analysis::AnalysisOptions aopts;
-        aopts.memOverheadFactor = _opts.memOverheadFactor;
-        analysis::AnalysisCertificate cert = analysis::analyzePlan(
-            _topo, _mdl, _part, _sched, plan, aopts);
-        // Invalid certificates carry no provable facts; the
-        // structural rules above already flagged why.
-        for (const analysis::GpuMemoryBound &b : cert.gpus) {
-            if (!cert.valid)
-                break;
-            if (b.lower > cert.usableCapacity) {
-                Finding(report, strict, Rule::CapProvedOverflow)
-                    .gpu(b.gpu)
-                    .msg(strformat(
-                        "proved peak >= %s exceeds usable capacity"
-                        " %s: every run of this plan OOMs",
-                        util::formatBytes(b.lower).c_str(),
-                        util::formatBytes(cert.usableCapacity)
-                            .c_str()))
-                    .hint("compact more classes on this GPU or remap"
-                          " its stages");
-            } else if (b.upper > cert.usableCapacity) {
-                Finding(report, strict, Rule::CapUnproven)
-                    .gpu(b.gpu)
-                    .msg(strformat(
-                        "peak bound [%s, %s] straddles usable"
-                        " capacity %s: cannot prove the plan fits",
-                        util::formatBytes(b.lower).c_str(),
-                        util::formatBytes(b.upper).c_str(),
-                        util::formatBytes(cert.usableCapacity)
-                            .c_str()))
-                    .hint("tighten swap hazard windows (more grant"
-                          " budget, fewer swapped classes) to close"
-                          " the interval");
-            }
-        }
-    }
+    // Invalid bounds (a grant naming an unknown GPU) carry no
+    // capacity facts; checkGrants flags why.
+    const analysis::MemoryBounds bounds =
+        analysis::boundMemory(_topo, _mdl, _part, _sched, plan);
+    if (bounds.valid)
+        checkCapacity(_topo, _part, plan, bounds, _opts.analysis,
+                      report, strict);
+    checkGrants(_topo, _part, plan, bounds, report, strict);
     return report;
 }
 

@@ -29,18 +29,18 @@
  *     map-shape           stageToGpu sized to the stage count
  *     map-device-range    mapped GPU indices exist in the topology
  *     map-duplicate       two stages share one GPU (interleaving)
- *   Capacity
- *     cap-stage-overflow  projected stage peak exceeds GPU capacity
- *     cap-host-overflow   projected pinned-host demand exceeds DRAM
- *     cap-proved-overflow analyzer lower bound exceeds capacity: the
- *                         plan provably OOMs (Options::analysis)
- *     cap-unproven        analyzer upper bound exceeds capacity: the
- *                         plan may OOM (Options::analysis)
+ *   Capacity (read analysis::boundMemory()'s peak intervals)
+ *     cap-stage-overflow  a GPU's peak lower bound exceeds usable
+ *                         capacity: the plan provably OOMs
+ *     cap-host-overflow   pinned-host demand upper bound exceeds DRAM
+ *     cap-unproven        a GPU's peak upper bound exceeds capacity:
+ *                         the plan may OOM (Options::analysis)
  *   D2D spare grants
  *     d2d-self-grant      a GPU lends spare memory to itself
  *     d2d-grant-range     grant names an unknown GPU / negative bytes
  *     d2d-unreachable     importer not NVLink-reachable from exporter
- *     d2d-overcommit      grants exceed the importer's projected spare
+ *     d2d-overcommit      grants exceed the importer's spare above
+ *                         its peak lower bound
  *     d2d-grant-cycle     exporter/importer grant cycle
  *     d2d-orphan-grant    grants on a GPU with no D2D-swapped class
  *     d2d-no-grant        D2D-swapped class with no grant to draw on
@@ -119,7 +119,6 @@ enum class Rule
     MapDuplicate,
     CapStageOverflow,
     CapHostOverflow,
-    CapProvedOverflow,
     CapUnproven,
     D2dSelfGrant,
     D2dGrantRange,
@@ -169,10 +168,6 @@ struct Diagnostic
 /** Verifier tunables. */
 struct Options
 {
-    /** Capacity divisor matching ExecutorConfig::memOverheadFactor:
-     *  usable capacity = HBM capacity / factor. */
-    double memOverheadFactor = 1.10;
-
     /** Promote heuristic warnings to errors (verify-on-load in
      *  strict sessions). */
     bool strict = false;
@@ -181,12 +176,11 @@ struct Options
      *  counted but suppressed (0 = unlimited). */
     int maxDiagsPerRule = 16;
 
-    /** Run the static plan analyzer (src/analysis/) and judge its
-     *  certificate: cap-proved-overflow when the peak-memory lower
-     *  bound alone exceeds capacity (the plan provably OOMs),
-     *  cap-unproven when only the upper bound does.  Off by default —
-     *  the interval bounds are deliberately conservative and most
-     *  workable compaction plans sit between the two. */
+    /** Also judge the peak-memory upper bounds: cap-unproven when a
+     *  GPU's upper bound exceeds capacity while its lower bound does
+     *  not.  Off by default — the interval bounds are deliberately
+     *  conservative and most workable compaction plans sit between
+     *  the two. */
     bool analysis = false;
 
     bool operator==(const Options &) const = default;
@@ -304,10 +298,12 @@ class PlanVerifier
  * Verify a complete execution tuple before running it.
  *
  * Checks everything verifySchedule() checks, then the device mapping
- * against @p topo, a symbolic capacity replay of @p plan against the
- * per-GPU budget, D2D spare-grant soundness, swap hazards, and config
- * shape.  Analyses that depend on broken structure (e.g. capacity on
- * an inconsistent mapping) are skipped rather than run on garbage.
+ * against @p topo, @p plan's peak-memory bounds
+ * (analysis::boundMemory()) against the per-GPU and host budgets, D2D
+ * spare-grant soundness, swap hazards, and config shape.  Analyses
+ * that depend on broken structure (e.g. capacity on an inconsistent
+ * mapping or on grants naming unknown GPUs) are skipped rather than
+ * run on garbage.
  * Same as PlanVerifier(topo, mdl, part, sched, opts).check(plan).
  */
 Report verifyPlan(const hw::Topology &topo,

@@ -2,11 +2,15 @@
  * @file
  * Randomized property tests: deterministic fuzzing (SplitMix64,
  * fixed seeds) of the striping planner, the device mapper, schedule
- * generation and the executor's conservation invariants.
+ * generation, the executor's conservation invariants, and the
+ * verifier's capacity rules against the analyzer and the executor.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "analysis/analyzer.hh"
 #include "compaction/striping.hh"
 #include "hw/topology.hh"
 #include "model/model.hh"
@@ -15,7 +19,9 @@
 #include "planner/mapper.hh"
 #include "runtime/executor.hh"
 #include "util/random.hh"
+#include "verify/verify.hh"
 
+namespace an = mpress::analysis;
 namespace cp = mpress::compaction;
 namespace hw = mpress::hw;
 namespace mm = mpress::model;
@@ -24,6 +30,7 @@ namespace pl = mpress::pipeline;
 namespace pn = mpress::planner;
 namespace rt = mpress::runtime;
 namespace mu = mpress::util;
+namespace vf = mpress::verify;
 
 class StripingFuzz : public ::testing::TestWithParam<int>
 {};
@@ -155,6 +162,65 @@ TEST_P(ScheduleFuzz, RandomShapesValidateAndNest)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleFuzz, ::testing::Values(1, 2));
 
+namespace {
+
+/** A random job on the DGX-1 and a random compaction plan for it. */
+struct FuzzJob
+{
+    mm::TransformerModel mdl;
+    mp::Partition part;
+    pl::Schedule sched;
+    cp::CompactionPlan plan;
+};
+
+/** Draws 2-8 stages, microbatch, schedule shape and kind, then a
+ *  random technique per layer, random grants to random NVLink
+ *  neighbours and random optimizer offload. */
+FuzzJob
+randomJob(mu::SplitMix64 &rng, const hw::Topology &topo,
+          const mm::ModelConfig &model_cfg)
+{
+    int stages = 2 + static_cast<int>(rng.nextBounded(7));
+    int microbatch = 1 + static_cast<int>(rng.nextBounded(4));
+    int mb = 1 + static_cast<int>(rng.nextBounded(4));
+    int minis = 1 + static_cast<int>(rng.nextBounded(2));
+    auto kind = static_cast<pl::SystemKind>(rng.nextBounded(3));
+
+    mm::TransformerModel mdl(model_cfg, microbatch);
+    auto part =
+        mp::partitionModel(mdl, stages, mp::Strategy::ComputeBalanced);
+    FuzzJob job{std::move(mdl), std::move(part),
+                pl::buildSchedule(kind, stages, mb, minis), {}};
+
+    cp::CompactionPlan &plan = job.plan;
+    for (const auto &stage : job.part.stages) {
+        for (std::size_t l = stage.firstLayer; l <= stage.lastLayer;
+             ++l) {
+            auto k = static_cast<cp::Kind>(rng.nextBounded(4));
+            if (k != cp::Kind::None)
+                plan.activations[{stage.index, static_cast<int>(l)}] =
+                    k;
+        }
+    }
+    for (int g = 0; g < stages; ++g) {
+        for (int nbh : topo.nvlinkNeighbors(g)) {
+            if (rng.nextBounded(2)) {
+                plan.spareGrants[g].push_back(
+                    {nbh,
+                     static_cast<mu::Bytes>(rng.nextBounded(4) + 1) *
+                         mu::kGB});
+            }
+        }
+    }
+    plan.offloadOptState.resize(static_cast<std::size_t>(stages));
+    for (int s = 0; s < stages; ++s)
+        plan.offloadOptState[static_cast<std::size_t>(s)] =
+            rng.nextBounded(2) != 0;
+    return job;
+}
+
+} // namespace
+
 class ExecutorFuzz : public ::testing::TestWithParam<int>
 {};
 
@@ -165,47 +231,11 @@ TEST_P(ExecutorFuzz, ConservationHoldsUnderRandomPlans)
     auto model_cfg = mm::presetByName("bert-0.35b");
 
     for (int round = 0; round < 8; ++round) {
-        int stages = 2 + static_cast<int>(rng.nextBounded(7));
-        int microbatch = 1 + static_cast<int>(rng.nextBounded(4));
-        int mb = 1 + static_cast<int>(rng.nextBounded(4));
-        int minis = 1 + static_cast<int>(rng.nextBounded(2));
-        auto kind = static_cast<pl::SystemKind>(rng.nextBounded(3));
-
-        mm::TransformerModel mdl(model_cfg, microbatch);
-        auto part = mp::partitionModel(
-            mdl, stages, mp::Strategy::ComputeBalanced);
-        auto sched = pl::buildSchedule(kind, stages, mb, minis);
-
-        // Random compaction plan: every layer gets a random
-        // technique; random grants to random neighbors.
-        cp::CompactionPlan plan;
-        for (const auto &stage : part.stages) {
-            for (std::size_t l = stage.firstLayer;
-                 l <= stage.lastLayer; ++l) {
-                auto k = static_cast<cp::Kind>(rng.nextBounded(4));
-                if (k != cp::Kind::None)
-                    plan.activations[{stage.index,
-                                      static_cast<int>(l)}] = k;
-            }
-        }
-        for (int g = 0; g < stages; ++g) {
-            for (int nbh : topo.nvlinkNeighbors(g)) {
-                if (rng.nextBounded(2)) {
-                    plan.spareGrants[g].push_back(
-                        {nbh, static_cast<mu::Bytes>(
-                                  rng.nextBounded(4) + 1) *
-                                  mu::kGB});
-                }
-            }
-        }
-        plan.offloadOptState.resize(
-            static_cast<std::size_t>(stages));
-        for (int s = 0; s < stages; ++s)
-            plan.offloadOptState[static_cast<std::size_t>(s)] =
-                rng.nextBounded(2) != 0;
-
-        auto report =
-            rt::runTraining(topo, mdl, part, sched, plan);
+        FuzzJob job = randomJob(rng, topo, model_cfg);
+        const auto &part = job.part;
+        const auto &sched = job.sched;
+        const auto &plan = job.plan;
+        auto report = rt::runTraining(topo, job.mdl, part, sched, plan);
 
         if (report.oom)
             continue;  // random plans may legitimately overload
@@ -231,4 +261,50 @@ TEST_P(ExecutorFuzz, ConservationHoldsUnderRandomPlans)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorFuzz,
+                         ::testing::Values(1, 2, 3, 4));
+
+/** The verifier's capacity rules against the analyzer and the DES on
+ *  ExecutorFuzz's generator, on models large enough that many random
+ *  plans overflow. */
+class CapacityFuzz : public ::testing::TestWithParam<int>
+{};
+
+TEST_P(CapacityFuzz, StageOverflowIsTheProvedOverflow)
+{
+    auto topo = hw::Topology::dgx1V100();
+    for (const char *preset : {"bert-4.0b", "bert-6.2b"}) {
+        mu::SplitMix64 rng(static_cast<std::uint64_t>(GetParam()) +
+                           300);
+        auto model_cfg = mm::presetByName(preset);
+        for (int round = 0; round < 8; ++round) {
+            FuzzJob job = randomJob(rng, topo, model_cfg);
+            auto verdict = vf::verifyPlan(topo, job.mdl, job.part,
+                                          job.sched, job.plan);
+            auto cert = an::analyzePlan(topo, job.mdl, job.part,
+                                        job.sched, job.plan);
+            auto report = rt::runTraining(topo, job.mdl, job.part,
+                                          job.sched, job.plan);
+            const std::string what = std::string(preset) + " round " +
+                                     std::to_string(round);
+            ASSERT_TRUE(cert.valid) << what;
+
+            const bool flagged =
+                verdict.hasRule(vf::Rule::CapStageOverflow);
+            EXPECT_EQ(flagged, cert.provableOom) << what;
+            if (flagged) {
+                EXPECT_TRUE(report.oom) << what;
+            }
+            if (report.oom)
+                continue;
+            for (std::size_t g = 0; g < cert.gpus.size(); ++g) {
+                EXPECT_LE(cert.gpus[g].lower, report.gpus[g].peak)
+                    << what << " gpu " << g;
+                EXPECT_GE(cert.gpus[g].upper, report.gpus[g].peak)
+                    << what << " gpu " << g;
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CapacityFuzz,
                          ::testing::Values(1, 2, 3, 4));

@@ -367,26 +367,6 @@ TEST(Executor, MismatchedShapesAreFatal)
                  "stages");
 }
 
-TEST(Executor, NonPositiveMemOverheadFactorIsFatal)
-{
-    Job job("bert-0.35b", 4, pl::SystemKind::PipeDream);
-    rt::ExecutorConfig cfg;
-    cfg.memOverheadFactor = 0.0;
-    EXPECT_DEATH(job.run({}, cfg), "memOverheadFactor");
-    cfg.memOverheadFactor = -1.5;
-    EXPECT_DEATH(job.run({}, cfg), "memOverheadFactor");
-}
-
-TEST(Executor, NonPositiveSwapInLookaheadIsFatal)
-{
-    Job job("bert-0.35b", 4, pl::SystemKind::PipeDream);
-    rt::ExecutorConfig cfg;
-    cfg.swapInLookahead = 0;
-    EXPECT_DEATH(job.run({}, cfg), "swapInLookahead");
-    cfg.swapInLookahead = -2;
-    EXPECT_DEATH(job.run({}, cfg), "swapInLookahead");
-}
-
 TEST(Executor, NvmeSpillWhenHostPoolExhausts)
 {
     // A server with a tiny pinned pool but an SSD: GPU-CPU swap

@@ -594,7 +594,6 @@ TEST(SearchDriver, TrialVerdictsMatchVerifyPlan)
     // The driver checks the job's schedule once and each trial's plan
     // rules on their own; every verdict must still be verifyPlan's.
     Job job("bert-1.67b");
-    const auto opts = pn::verifierOptions(rt::ExecutorConfig{});
     // Consecutive stages on NVLink neighbours of the DGX-1 mesh.
     cp::CompactionPlan clean = recomputeAll(job.part);
     clean.stageToGpu = {0, 1, 2, 3, 7, 6, 5, 4};
@@ -611,7 +610,7 @@ TEST(SearchDriver, TrialVerdictsMatchVerifyPlan)
     auto verdict = [&](const pl::Schedule &sched,
                        const cp::CompactionPlan &plan) {
         return mpress::verify::verifyPlan(job.topo, job.mdl, job.part,
-                                          sched, plan, opts);
+                                          sched, plan);
     };
     EXPECT_TRUE(verdict(job.sched, clean).clean())
         << verdict(job.sched, clean).render();
@@ -825,12 +824,12 @@ TEST(TrialCache, SignatureDistinguishesConfigAndScenario)
     EXPECT_EQ(key(plan, cfg, ""), base);
 
     rt::ExecutorConfig tweaked = cfg;
-    tweaked.swapInLookahead += 1;
+    tweaked.maxTransferRetries += 1;
     EXPECT_NE(key(plan, tweaked, ""), base);
 
-    rt::ExecutorConfig scaled = cfg;
-    scaled.memOverheadFactor *= 1.0000000001;  // last-bits change
-    EXPECT_NE(key(plan, scaled, ""), base);
+    rt::ExecutorConfig unladdered = cfg;
+    unladdered.faultLadder = false;
+    EXPECT_NE(key(plan, unladdered, ""), base);
 
     EXPECT_NE(key(plan, cfg, "pcie-degrade-0"), base);
 

@@ -9,17 +9,21 @@
 
 #include <algorithm>
 
+#include "analysis/analyzer.hh"
 #include "compaction/plan.hh"
 #include "model/model.hh"
 #include "partition/partition.hh"
 #include "pipeline/schedule.hh"
+#include "runtime/executor.hh"
 #include "verify/verify.hh"
 
+namespace an = mpress::analysis;
 namespace cp = mpress::compaction;
 namespace hw = mpress::hw;
 namespace mm = mpress::model;
 namespace mp = mpress::partition;
 namespace pl = mpress::pipeline;
+namespace rt = mpress::runtime;
 namespace mu = mpress::util;
 namespace vf = mpress::verify;
 
@@ -326,6 +330,58 @@ TEST(VerifyRule, CapStageOverflow)
     ASSERT_TRUE(report.hasRule(Rule::CapStageOverflow));
     EXPECT_FALSE(report.ok());
     EXPECT_GE(report.findRule(Rule::CapStageOverflow)->gpu, 0);
+
+    // The same job with every class D2D-swapped but each GPU granted
+    // only 64 MiB by its lowest NVLink neighbour: the grants cover a
+    // sliver of the stash, so the unfunded rest stays resident and
+    // the overflow is proved, and the run does OOM.
+    VerifyJob starved("bert-1.67b", 12);
+    for (const auto &stage : starved.part.stages) {
+        for (std::size_t l = stage.firstLayer; l <= stage.lastLayer;
+             ++l) {
+            starved.plan.activations[{stage.index,
+                                      static_cast<int>(l)}] =
+                cp::Kind::D2dSwap;
+        }
+    }
+    for (int g = 0; g < starved.topo.numGpus(); ++g) {
+        starved.plan.spareGrants[g] = {
+            {starved.topo.nvlinkNeighbors(g).front(), 64 * mu::kMiB}};
+    }
+    report = starved.verify();
+    ASSERT_TRUE(report.hasRule(Rule::CapStageOverflow))
+        << report.render();
+    EXPECT_EQ(report.findRule(Rule::CapStageOverflow)->severity,
+              vf::Severity::Error);
+    EXPECT_TRUE(rt::runTraining(starved.topo, starved.mdl, starved.part,
+                                starved.sched, starved.plan)
+                    .oom);
+
+    // GPT-25.5B uncompacted: the peak lower bound alone exceeds
+    // capacity, with or without the analysis rules.
+    VerifyJob huge("gpt-25.5b", 8);
+    for (bool analysis : {false, true}) {
+        vf::Options opts;
+        opts.analysis = analysis;
+        report = huge.verify(opts);
+        ASSERT_TRUE(report.hasRule(Rule::CapStageOverflow));
+        EXPECT_EQ(report.findRule(Rule::CapStageOverflow)->severity,
+                  vf::Severity::Error);
+        EXPECT_GE(report.findRule(Rule::CapStageOverflow)->gpu, 0);
+    }
+
+    // Two stages on one GPU: one finding for that GPU, naming its
+    // first stage.
+    big.plan.stageToGpu = {0, 0, 1, 2, 3, 4, 5, 6};
+    report = big.verify();
+    int on_gpu0 = 0;
+    for (const auto &d : report.diagnostics()) {
+        if (d.rule == Rule::CapStageOverflow && d.gpu == 0) {
+            ++on_gpu0;
+            EXPECT_EQ(d.stage, 0);
+        }
+    }
+    EXPECT_EQ(on_gpu0, 1);
 }
 
 TEST(VerifyRule, CapHostOverflow)
@@ -343,40 +399,16 @@ TEST(VerifyRule, CapHostOverflow)
               vf::Severity::Warning);
 }
 
-TEST(VerifyRule, CapProvedOverflow)
-{
-    // The analysis-backed rules run only when opted in.
-    vf::Options opts;
-    opts.analysis = true;
-
-    VerifyJob small;
-    EXPECT_FALSE(
-        small.verify(opts).hasRule(Rule::CapProvedOverflow));
-
-    // GPT-25.5B uncompacted: the analyzer's lower bound alone
-    // exceeds capacity, so the overflow is proved, as an error.
-    VerifyJob huge("gpt-25.5b", 8);
-    auto report = huge.verify(opts);
-    ASSERT_TRUE(report.hasRule(Rule::CapProvedOverflow));
-    EXPECT_EQ(report.findRule(Rule::CapProvedOverflow)->severity,
-              vf::Severity::Error);
-    EXPECT_GE(report.findRule(Rule::CapProvedOverflow)->gpu, 0);
-
-    // Without the opt-in the rule never fires.
-    EXPECT_FALSE(
-        huge.verify().hasRule(Rule::CapProvedOverflow));
-}
-
 TEST(VerifyRule, CapUnproven)
 {
     vf::Options opts;
     opts.analysis = true;
 
-    // A comfortably fitting job triggers neither analysis rule.
+    // A comfortably fitting job triggers neither capacity rule.
     VerifyJob small;
     auto clean = small.verify(opts);
     EXPECT_FALSE(clean.hasRule(Rule::CapUnproven));
-    EXPECT_FALSE(clean.hasRule(Rule::CapProvedOverflow));
+    EXPECT_FALSE(clean.hasRule(Rule::CapStageOverflow));
 
     // Bert-1.67B swap-everything: the hazard-widened upper bound
     // straddles capacity while the lower bound stays under it —
@@ -398,7 +430,7 @@ TEST(VerifyRule, CapUnproven)
     } else {
         // If the bound tightened enough to prove the overflow
         // instead, that rule must carry the verdict.
-        EXPECT_TRUE(report.hasRule(Rule::CapProvedOverflow));
+        EXPECT_TRUE(report.hasRule(Rule::CapStageOverflow));
     }
 }
 
@@ -451,12 +483,29 @@ TEST(VerifyRule, D2dOvercommit)
     job.plan.activations[{0, 0}] = cp::Kind::D2dSwap;
     EXPECT_FALSE(job.verify().hasRule(Rule::D2dOvercommit));
 
-    // Granting far more than the importer's projected spare.
+    // Granting far more than the importer's spare.
     job.plan.spareGrants[0] = {{4, 500 * mu::kGB}};
     auto report = job.verify();
     ASSERT_TRUE(report.hasRule(Rule::D2dOvercommit));
     EXPECT_EQ(report.findRule(Rule::D2dOvercommit)->severity,
               vf::Severity::Warning);
+
+    // The spare is usable capacity minus the importer's peak lower
+    // bound: a grant of exactly that fits and one byte more does not,
+    // although GPU-CPU swap widens the importer's upper bound.
+    const auto &importer = job.part.stages[4];
+    for (std::size_t l = importer.firstLayer; l <= importer.lastLayer;
+         ++l)
+        job.plan.activations[{4, static_cast<int>(l)}] =
+            cp::Kind::GpuCpuSwap;
+    auto bounds = an::boundMemory(job.topo, job.mdl, job.part,
+                                  job.sched, job.plan);
+    ASSERT_GT(bounds.gpus[4].upper, bounds.gpus[4].lower);
+    const mu::Bytes spare = bounds.usableCapacity - bounds.gpus[4].lower;
+    job.plan.spareGrants[0] = {{4, spare}};
+    EXPECT_FALSE(job.verify().hasRule(Rule::D2dOvercommit));
+    job.plan.spareGrants[0] = {{4, spare + 1}};
+    EXPECT_TRUE(job.verify().hasRule(Rule::D2dOvercommit));
 }
 
 TEST(VerifyRule, D2dGrantCycle)
