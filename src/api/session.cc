@@ -30,20 +30,6 @@ strategyName(Strategy s)
     return "?";
 }
 
-const char *
-verifyModeName(VerifyMode m)
-{
-    switch (m) {
-      case VerifyMode::Off:
-        return "off";
-      case VerifyMode::Permissive:
-        return "permissive";
-      case VerifyMode::Strict:
-        return "strict";
-    }
-    return "?";
-}
-
 bool
 strategyFromName(const std::string &name, Strategy *out)
 {

@@ -59,9 +59,6 @@ enum class VerifyMode
     Strict,      ///< warnings promote to errors; errors reject the run
 };
 
-/** Returns a display name for @p m. */
-const char *verifyModeName(VerifyMode m);
-
 /**
  * Checked name parsers for untrusted configuration fields.  The CLI
  * flags and the mpress-serve request fields both go through these, so

@@ -1,6 +1,5 @@
 #include "cluster/cluster.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -263,76 +262,6 @@ clusterByName(const std::string &name)
     spec.nodes = nodes;
     spec.nodePreset = node_name;
     return spec;
-}
-
-std::string
-HybridPlacement::summary() const
-{
-    return util::strformat(
-        "%d replica%s x %d stages, %s pipelines, allreduce %.2f ms",
-        replicas, replicas == 1 ? "" : "s", stagesPerReplica,
-        crossNodePipeline ? "cross-node" : "intra-node",
-        util::toMs(allReduceTime));
-}
-
-HybridPlacement
-planHybridPlacement(const hw::Topology &cluster, int num_stages,
-                    Bytes gradientBytes)
-{
-    const int n = cluster.numGpus();
-    if (num_stages < 1 || num_stages > n || n % num_stages != 0)
-        util::panic("%d stages do not tile %d GPUs", num_stages, n);
-
-    HybridPlacement out;
-    out.replicas = n / num_stages;
-    out.stagesPerReplica = num_stages;
-    out.replicaGpus.resize(static_cast<std::size_t>(out.replicas));
-    for (int r = 0; r < out.replicas; ++r) {
-        auto &block =
-            out.replicaGpus[static_cast<std::size_t>(r)];
-        block.resize(static_cast<std::size_t>(num_stages));
-        for (int s = 0; s < num_stages; ++s)
-            block[static_cast<std::size_t>(s)] =
-                r * num_stages + s;
-        if (!cluster.sameNode(block.front(), block.back()))
-            out.crossNodePipeline = true;
-    }
-
-    if (out.replicas > 1 && gradientBytes > 0) {
-        // Bandwidth-optimal ring all-reduce: 2*(r-1) steps of
-        // bytes/r each, bounded by the slowest consecutive pair of
-        // the ring over same-stage GPUs.  Every stage position runs
-        // its own ring; the estimate is the slowest one.
-        const int r = out.replicas;
-        Bytes chunk = std::max<Bytes>(gradientBytes / r, 1);
-        Tick worst = 0;
-        for (int s = 0; s < num_stages; ++s) {
-            Tick step = 0;
-            for (int a = 0; a < r; ++a) {
-                int u = out.replicaGpus[static_cast<std::size_t>(
-                    a)][static_cast<std::size_t>(s)];
-                int v = out.replicaGpus[static_cast<std::size_t>(
-                    (a + 1) %
-                    r)][static_cast<std::size_t>(s)];
-                util::Bandwidth bw =
-                    cluster.pairBandwidth(u, v, chunk);
-                Tick t;
-                if (bw.bytesPerSec() <= 0.0) {
-                    // No direct path (mesh fabrics): bounce through
-                    // the host, one PCIe hop each way.
-                    t = 2 * cluster.pcieSpec().transferTime(chunk);
-                } else {
-                    t = cluster.linkSpecBetween(u, v).latency +
-                        bw.transferTime(chunk);
-                }
-                step = std::max(step, t);
-            }
-            worst = std::max(worst,
-                             2 * (r - 1) * step);
-        }
-        out.allReduceTime = worst;
-    }
-    return out;
 }
 
 } // namespace cluster

@@ -1,7 +1,10 @@
 /**
  * @file
  * Multi-node cluster topologies: N equal server nodes joined by an
- * inter-node NIC tier (ASTRA-sim-style hierarchical networks).
+ * inter-node NIC tier (ASTRA-sim-style hierarchical networks).  This
+ * is the one model of more than one server: the cluster preset names
+ * ("2x-dgx1", "8x-hgx-h100", ...), JSON specs and the benches all
+ * build their topologies through buildCluster().
  *
  * A ClusterSpec is the user-facing description — node count, per-node
  * server preset, NIC preset/overrides — loadable from a JSON document
@@ -16,13 +19,6 @@
  * analyzer — prices cross-node paths through
  * hw::Topology::pathLanes() / linkSpecBetween(), so a cluster plan
  * needs no special cases.
- *
- * planHybridPlacement() adds the DAPPLE-style hybrid data+pipeline
- * layout: when the pipeline has fewer stages than the cluster has
- * GPUs, the spare GPUs become data-parallel replica groups, each
- * running the whole pipeline on a contiguous GPU block, with the
- * per-minibatch gradient all-reduce priced over the slowest link tier
- * the ring crosses.
  */
 
 #ifndef MPRESS_CLUSTER_CLUSTER_HH
@@ -38,7 +34,6 @@
 namespace mpress {
 namespace cluster {
 
-using util::Bytes;
 using util::Tick;
 
 /** User-facing description of a cluster. */
@@ -129,42 +124,6 @@ ClusterSpec cluster8xHgxH100();
  * GPUs).  nullopt when the name does not parse.
  */
 std::optional<ClusterSpec> clusterByName(const std::string &name);
-
-/** DAPPLE-style hybrid data+pipeline placement. */
-struct HybridPlacement
-{
-    /** Data-parallel replica groups (1 = pure pipeline). */
-    int replicas = 1;
-
-    /** Pipeline stages inside each replica. */
-    int stagesPerReplica = 0;
-
-    /** GPU block of each replica, in stage order. */
-    std::vector<std::vector<int>> replicaGpus;
-
-    /** True when some replica's stage chain crosses a NIC. */
-    bool crossNodePipeline = false;
-
-    /** Ring all-reduce estimate for @p gradientBytes across the
-     *  replica group (0 when replicas == 1). */
-    Tick allReduceTime = 0;
-
-    std::string summary() const;
-};
-
-/**
- * Place @p num_stages pipeline stages on @p cluster with replication:
- * replicas = numGpus / num_stages contiguous GPU blocks, each block
- * one pipeline in stage order.  Contiguous blocks keep pipelines
- * inside nodes whenever stages divide the node size; otherwise the
- * pipeline crosses the NIC where the block does.  The gradient
- * all-reduce between replicas is priced with the bandwidth-optimal
- * ring bound 2*(r-1)/r * bytes over the slowest inter-replica link.
- * Requires 1 <= num_stages <= numGpus and num_stages | numGpus.
- */
-HybridPlacement planHybridPlacement(const hw::Topology &cluster,
-                                    int num_stages,
-                                    Bytes gradientBytes);
 
 } // namespace cluster
 } // namespace mpress

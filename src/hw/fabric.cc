@@ -22,30 +22,6 @@ occupyLanes(const std::vector<sim::Stream *> &lanes, Tick dur, Tick end)
 
 } // namespace
 
-const char *
-fabricResourceName(FabricResource r)
-{
-    switch (r) {
-      case FabricResource::NvlinkEgress:
-        return "nvlink.egress";
-      case FabricResource::NvlinkIngress:
-        return "nvlink.ingress";
-      case FabricResource::PcieH2D:
-        return "pcie.h2d";
-      case FabricResource::PcieD2H:
-        return "pcie.d2h";
-      case FabricResource::NvmeWrite:
-        return "nvme.write";
-      case FabricResource::NvmeRead:
-        return "nvme.read";
-      case FabricResource::NicEgress:
-        return "nic.egress";
-      case FabricResource::NicIngress:
-        return "nic.ingress";
-    }
-    return "?";
-}
-
 Tick
 Fabric::lookaheadFor(const Topology &topo)
 {

@@ -48,9 +48,6 @@ enum class FabricResource
     NicIngress,    ///< inter-node NIC entering a node
 };
 
-/** Returns a display name for @p r ("nvlink.egress", ...). */
-const char *fabricResourceName(FabricResource r);
-
 /** Runtime transfer engine bound to one Topology and one Engine. */
 class Fabric
 {
@@ -113,8 +110,9 @@ class Fabric
 
     /**
      * Uncontended D2D latency estimate matching the executed striping
-     * math; used by the planner's cost model.  Cross-node pairs price
-     * the two-leg model: lookahead + 2x per-leg wire time.
+     * math; the tests' reference for the executed transfer.
+     * Cross-node pairs price the two-leg model: lookahead + 2x
+     * per-leg wire time.
      */
     Tick estimateD2d(int src, int dst, Bytes bytes, int lanes) const;
 

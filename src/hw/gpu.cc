@@ -3,12 +3,6 @@
 namespace mpress {
 namespace hw {
 
-const char *
-precisionName(Precision p)
-{
-    return p == Precision::Fp32 ? "fp32" : "fp16";
-}
-
 GpuSpec
 GpuSpec::p100()
 {

@@ -28,9 +28,6 @@ enum class Precision
     Fp16,
 };
 
-/** Returns "fp32" or "fp16". */
-const char *precisionName(Precision p);
-
 /** Bytes per element for a precision. */
 constexpr Bytes
 precisionBytes(Precision p)

@@ -3,31 +3,10 @@
 namespace mpress {
 namespace hw {
 
-const char *
-linkKindName(LinkKind kind)
-{
-    switch (kind) {
-      case LinkKind::NvLink:
-        return "NVLink";
-      case LinkKind::NvSwitch:
-        return "NVSwitch";
-      case LinkKind::Pcie:
-        return "PCIe";
-      case LinkKind::C2C:
-        return "NVLink-C2C";
-      case LinkKind::Nvme:
-        return "NVMe";
-      case LinkKind::Nic:
-        return "NIC";
-    }
-    return "unknown";
-}
-
 LinkSpec
 LinkSpec::nvlink1()
 {
     LinkSpec s;
-    s.kind = LinkKind::NvLink;
     s.peak = Bandwidth::fromGBps(20.0);
     s.rampBytes = 4 * util::kMiB;
     s.latency = 10 * util::kUsec;
@@ -38,7 +17,6 @@ LinkSpec
 LinkSpec::nvlink2()
 {
     LinkSpec s;
-    s.kind = LinkKind::NvLink;
     s.peak = Bandwidth::fromGBps(25.0);
     s.rampBytes = 4 * util::kMiB;
     s.latency = 10 * util::kUsec;
@@ -49,7 +27,6 @@ LinkSpec
 LinkSpec::nvswitch3()
 {
     LinkSpec s;
-    s.kind = LinkKind::NvSwitch;
     s.peak = Bandwidth::fromGBps(25.0);
     s.rampBytes = 4 * util::kMiB;
     s.latency = 12 * util::kUsec;  // one switch hop
@@ -60,7 +37,6 @@ LinkSpec
 LinkSpec::nvlink4()
 {
     LinkSpec s;
-    s.kind = LinkKind::NvSwitch;
     s.peak = Bandwidth::fromGBps(50.0);
     s.rampBytes = 4 * util::kMiB;
     s.latency = 10 * util::kUsec;
@@ -71,7 +47,6 @@ LinkSpec
 LinkSpec::pcie3x16()
 {
     LinkSpec s;
-    s.kind = LinkKind::Pcie;
     s.peak = Bandwidth::fromGBps(11.7);
     s.rampBytes = 2 * util::kMiB;
     s.latency = 15 * util::kUsec;
@@ -82,7 +57,6 @@ LinkSpec
 LinkSpec::pcie4x16()
 {
     LinkSpec s;
-    s.kind = LinkKind::Pcie;
     s.peak = Bandwidth::fromGBps(23.0);
     s.rampBytes = 2 * util::kMiB;
     s.latency = 15 * util::kUsec;
@@ -93,7 +67,6 @@ LinkSpec
 LinkSpec::c2c()
 {
     LinkSpec s;
-    s.kind = LinkKind::C2C;
     s.peak = Bandwidth::fromGBps(64.0);
     s.rampBytes = 4 * util::kMiB;
     s.latency = 5 * util::kUsec;
@@ -104,7 +77,6 @@ LinkSpec
 LinkSpec::nvme()
 {
     LinkSpec s;
-    s.kind = LinkKind::Nvme;
     s.peak = Bandwidth::fromGBps(3.0);
     s.rampBytes = 8 * util::kMiB;
     s.latency = 80 * util::kUsec;
@@ -115,7 +87,6 @@ LinkSpec
 LinkSpec::infinibandHdr()
 {
     LinkSpec s;
-    s.kind = LinkKind::Nic;
     s.peak = Bandwidth::fromGBps(25.0);  // 200 Gb/s HDR
     s.rampBytes = 16 * util::kMiB;       // RDMA setup costs more
     s.latency = 30 * util::kUsec;
@@ -126,7 +97,6 @@ LinkSpec
 LinkSpec::infinibandNdr()
 {
     LinkSpec s;
-    s.kind = LinkKind::Nic;
     s.peak = Bandwidth::fromGBps(50.0);  // 400 Gb/s NDR
     s.rampBytes = 16 * util::kMiB;
     s.latency = 25 * util::kUsec;
@@ -137,7 +107,6 @@ LinkSpec
 LinkSpec::roce100()
 {
     LinkSpec s;
-    s.kind = LinkKind::Nic;
     s.peak = Bandwidth::fromGBps(12.5);  // 100 Gb/s Ethernet
     s.rampBytes = 32 * util::kMiB;       // lossy fabric ramps slower
     s.latency = 50 * util::kUsec;

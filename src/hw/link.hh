@@ -25,26 +25,11 @@ using util::Bandwidth;
 using util::Bytes;
 using util::Tick;
 
-/** Kinds of interconnect modelled by the fabric. */
-enum class LinkKind
-{
-    NvLink,     ///< one GPU-GPU NVLink lane
-    NvSwitch,   ///< one lane of an NVSwitch fabric port
-    Pcie,       ///< GPU<->host PCIe connection
-    C2C,        ///< NVLink-C2C (Grace-Hopper CPU-GPU link)
-    Nvme,       ///< host<->NVMe SSD channel
-    Nic,        ///< inter-node network interface (InfiniBand/RoCE)
-};
-
-/** Returns a short human-readable name for @p kind. */
-const char *linkKindName(LinkKind kind);
-
 /**
  * Static parameters of a single link lane.
  */
 struct LinkSpec
 {
-    LinkKind kind = LinkKind::NvLink;
     Bandwidth peak;              ///< unidirectional peak
     Bytes rampBytes = 4 * util::kMiB;  ///< half-speed transfer size
     Tick latency = 10 * util::kUsec;   ///< per-transfer launch latency

@@ -127,39 +127,12 @@ Topology::nvlinkNeighbors(int a) const
     return out;
 }
 
-void
-Topology::setLinkSpecOverride(int a, int b, const LinkSpec &spec)
-{
-    checkGpu(a);
-    checkGpu(b);
-    _pairSpec[{a, b}] = spec;
-    _pairSpec[{b, a}] = spec;
-}
-
 const LinkSpec &
 Topology::linkSpecBetween(int a, int b) const
 {
-    auto it = _pairSpec.find({a, b});
-    if (it != _pairSpec.end())
-        return it->second;
     if (multiNodeFabric() && a != b && !sameNode(a, b))
         return _nicSpec;
     return _nvlinkSpec;
-}
-
-Bandwidth
-Topology::pairBandwidth(int a, int b, Bytes bytes) const
-{
-    int lanes = pathLanes(a, b);
-    if (lanes == 0)
-        return Bandwidth(0.0);
-    // Striping a transfer over n lanes moves bytes/n per lane; each
-    // lane runs at the effective bandwidth for its share.
-    Bytes per_lane = bytes / lanes;
-    if (per_lane <= 0)
-        per_lane = 1;
-    Bandwidth eff = linkSpecBetween(a, b).effectiveBandwidth(per_lane);
-    return eff * static_cast<double>(lanes);
 }
 
 Bytes
@@ -284,16 +257,6 @@ Topology::graceHopperNode(int num_gpus)
     return t;
 }
 
-LinkSpec
-Topology::infinibandHdr()
-{
-    // Legacy alias kept for the chain-style multiNode() builder; the
-    // cluster subsystem uses LinkSpec::infinibandHdr() (kind Nic).
-    LinkSpec s = LinkSpec::infinibandHdr();
-    s.kind = LinkKind::NvLink;  // treated as a GPU-GPU lane
-    return s;
-}
-
 Topology
 Topology::extractNode(int node) const
 {
@@ -316,53 +279,11 @@ Topology::extractNode(int node) const
             }
         }
     }
-    for (int a = 0; a < g; ++a) {
-        for (int b = a + 1; b < g; ++b) {
-            auto it = _pairSpec.find({base + a, base + b});
-            if (it != _pairSpec.end())
-                t.setLinkSpecOverride(a, b, it->second);
-        }
-    }
     t.setNvlinkSpec(_nvlinkSpec);
     t.setPcieSpec(_pcieSpec);
     t.setNvmeSpec(_nvmeSpec);
     t.setHostMemory(_hostMemory / nodes);
     t.setNvmeCapacity(_nvmeCapacity / nodes);
-    return t;
-}
-
-Topology
-Topology::multiNode(const Topology &node, int num_nodes,
-                    int inter_lanes, const LinkSpec &inter_spec)
-{
-    if (num_nodes < 1)
-        util::fatal("cluster needs at least one node");
-    const int g = node.numGpus();
-    Topology t(util::strformat("%dx%s", num_nodes,
-                               node.name().c_str()),
-               node.gpu(), g * num_nodes);
-    // Replicate the intra-node fabric per island.
-    for (int n = 0; n < num_nodes; ++n) {
-        for (int a = 0; a < g; ++a) {
-            for (int b = a + 1; b < g; ++b) {
-                int lanes = node.nvlinkLanes(a, b);
-                if (lanes > 0)
-                    t.setNvlinkLanes(n * g + a, n * g + b, lanes);
-            }
-        }
-    }
-    // Chain nodes: last GPU of node n <-> first GPU of node n+1.
-    for (int n = 0; n + 1 < num_nodes; ++n) {
-        int from = n * g + (g - 1);
-        int to = (n + 1) * g;
-        t.setNvlinkLanes(from, to, inter_lanes);
-        t.setLinkSpecOverride(from, to, inter_spec);
-    }
-    t.setNvlinkSpec(node.nvlinkSpec());
-    t.setPcieSpec(node.pcieSpec());
-    t.setNvmeSpec(node.nvmeSpec());
-    t.setHostMemory(node.hostMemory() * num_nodes);
-    t.setNvmeCapacity(node.nvmeCapacity() * num_nodes);
     return t;
 }
 

@@ -12,9 +12,7 @@
 #ifndef MPRESS_HW_TOPOLOGY_HH
 #define MPRESS_HW_TOPOLOGY_HH
 
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "hw/gpu.hh"
@@ -125,14 +123,9 @@ class Topology
     const LinkSpec &nvlinkSpec() const { return _nvlinkSpec; }
     void setNvlinkSpec(const LinkSpec &spec) { _nvlinkSpec = spec; }
 
-    /** Override the per-lane spec of one GPU pair (both directions).
-     *  Used for heterogeneous fabrics, e.g. the inter-node links of
-     *  a multi-server cluster. */
-    void setLinkSpecOverride(int a, int b, const LinkSpec &spec);
-
-    /** Per-lane spec between @p a and @p b: the pair override when
-     *  present, the NIC spec for cross-node pairs of a multi-node
-     *  fabric, the fabric-wide NVLink spec otherwise. */
+    /** Per-lane spec between @p a and @p b: the NIC spec for
+     *  cross-node pairs of a multi-node fabric, the fabric-wide
+     *  NVLink spec otherwise. */
     const LinkSpec &linkSpecBetween(int a, int b) const;
 
     /** GPU<->host PCIe spec (per GPU). */
@@ -148,10 +141,6 @@ class Topology
 
     Bytes nvmeCapacity() const { return _nvmeCapacity; }
     void setNvmeCapacity(Bytes bytes) { _nvmeCapacity = bytes; }
-
-    /** Aggregate NVLink bandwidth between @p a and @p b for transfers
-     *  of @p bytes, over all direct lanes. */
-    Bandwidth pairBandwidth(int a, int b, Bytes bytes) const;
 
     /** Total GPU memory of the server. */
     Bytes totalGpuMemory() const;
@@ -177,17 +166,6 @@ class Topology
     static Topology graceHopperNode(int num_gpus);
 
     /**
-     * A cluster of @p num_nodes copies of @p node, chained into a
-     * pipeline-friendly ring: the last GPU of node i connects to the
-     * first GPU of node i+1 over @p inter_lanes lanes of
-     * @p inter_spec (e.g. InfiniBand HDR NICs).  The intro's
-     * "building block for cross-server giant model training".
-     */
-    static Topology multiNode(const Topology &node, int num_nodes,
-                              int inter_lanes,
-                              const LinkSpec &inter_spec);
-
-    /**
      * The single-node topology of one node of this cluster: the
      * intra-node lane matrix, link specs and per-node host/NVMe
      * shares, without the inter-node fabric.  For a single server
@@ -195,9 +173,6 @@ class Topology
      * per-node placements on this view.
      */
     Topology extractNode(int node) const;
-
-    /** One 200 Gb/s InfiniBand HDR NIC modeled as a lane. */
-    static LinkSpec infinibandHdr();
 
   private:
     void checkGpu(int idx) const;
@@ -211,7 +186,6 @@ class Topology
     int _nicsPerNode = 0;
     LinkSpec _nicSpec;
     LinkSpec _nvlinkSpec;
-    std::map<std::pair<int, int>, LinkSpec> _pairSpec;
     LinkSpec _pcieSpec;
     LinkSpec _nvmeSpec;
     Bytes _hostMemory = 0;

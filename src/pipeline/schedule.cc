@@ -9,20 +9,6 @@ namespace mpress {
 namespace pipeline {
 
 const char *
-taskKindName(TaskKind kind)
-{
-    switch (kind) {
-      case TaskKind::Forward:
-        return "fwd";
-      case TaskKind::Backward:
-        return "bwd";
-      case TaskKind::OptimStep:
-        return "opt";
-    }
-    return "?";
-}
-
-const char *
 systemKindName(SystemKind kind)
 {
     switch (kind) {

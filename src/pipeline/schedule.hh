@@ -34,9 +34,6 @@ enum class TaskKind
     OptimStep,
 };
 
-/** Returns "fwd", "bwd" or "opt". */
-const char *taskKindName(TaskKind kind);
-
 /** One schedulable unit of pipeline work. */
 struct Task
 {

@@ -44,8 +44,8 @@ stableSortSmall(std::vector<T> &v, Less less)
  *  it has lanes to, in index order) are listed once: a DGX-1 GPU has
  *  4 of 8, and the scan's per-placement loops walk only those.  Each
  *  connected pair's link spec is cached too (the topology outlives
- *  the scan): linkSpecBetween() is a std::map lookup, and the drain
- *  floors read it at every leaf. */
+ *  the scan): on a cluster a pair's spec depends on whether it
+ *  crosses a node, and the drain floors read it at every leaf. */
 struct LaneMatrix
 {
     int n = 0;

@@ -504,15 +504,9 @@ remainingGrantBudget(
             // state from a re-map.  Nothing to debit.
             continue;
         }
-        if (savings > it->second) {
-            util::debug("grant ledger for GPU %d short by %lld bytes"
-                        " (stale debit after re-map); clamping",
-                        gpu,
-                        static_cast<long long>(savings - it->second));
-            it->second = 0;
-        } else {
-            it->second -= savings;
-        }
+        // A debit larger than the ledger is stale state from a
+        // re-map too: clamp at zero.
+        it->second = savings > it->second ? 0 : it->second - savings;
     }
     return budget;
 }

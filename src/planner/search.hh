@@ -261,9 +261,10 @@ class SearchDriver
      * host/NVMe provisioning, fabric class, inter-node NIC tier),
      * model configuration + microbatch, partition stage boundaries,
      * and schedule shape.  Captures the whole preset- and
-     * ClusterSpec-reachable configuration surface; a hand-mutated
-     * topology that disagrees only in a per-pair link override
-     * should not share a TrialCache across jobs.
+     * ClusterSpec-reachable configuration surface; a hand-built
+     * topology that keeps a preset's name but disagrees only in its
+     * NVLink lane matrix, or in a link's ramp or latency, should not
+     * share a TrialCache across jobs.
      */
     const std::string &jobKey() const { return _jobKey; }
 

@@ -1,6 +1,5 @@
 #include "util/logging.hh"
 
-#include <atomic>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -12,11 +11,6 @@ namespace util {
 
 namespace {
 
-// Relaxed atomic: the level is read from planner worker
-// threads while tests/CLIs may set it; ordering does not
-// matter, tearing must not happen.
-std::atomic<LogLevel> global_level{LogLevel::Warn};
-
 void
 emit(const char *tag, const char *fmt, std::va_list args)
 {
@@ -27,47 +21,11 @@ emit(const char *tag, const char *fmt, std::va_list args)
 } // namespace
 
 void
-setLogLevel(LogLevel level)
-{
-    global_level.store(level, std::memory_order_relaxed);
-}
-
-LogLevel
-logLevel()
-{
-    return global_level.load(std::memory_order_relaxed);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (global_level.load(std::memory_order_relaxed) < LogLevel::Info)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    emit("info", fmt, args);
-    va_end(args);
-}
-
-void
 warn(const char *fmt, ...)
 {
-    if (global_level.load(std::memory_order_relaxed) < LogLevel::Warn)
-        return;
     std::va_list args;
     va_start(args, fmt);
     emit("warn", fmt, args);
-    va_end(args);
-}
-
-void
-debug(const char *fmt, ...)
-{
-    if (global_level.load(std::memory_order_relaxed) < LogLevel::Debug)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    emit("debug", fmt, args);
     va_end(args);
 }
 

@@ -1,44 +1,21 @@
 /**
  * @file
- * Leveled logging plus gem5-style fatal()/panic() termination helpers.
+ * Logging plus gem5-style fatal()/panic() termination helpers.
  *
  * fatal() reports a user-caused error (bad configuration) and exits;
- * panic() reports an internal invariant violation and aborts.  inform()
- * and warn() emit status without stopping the run.  The global level
- * filters inform/warn output (benchmarks run with Level::Quiet).
+ * panic() reports an internal invariant violation and aborts.  warn()
+ * emits a warning without stopping the run.  All three write one
+ * tagged line to stderr; there is no level to set.
  */
 
 #ifndef MPRESS_UTIL_LOGGING_HH
 #define MPRESS_UTIL_LOGGING_HH
 
-#include <string>
-
 namespace mpress {
 namespace util {
 
-/** Verbosity levels, most verbose last. */
-enum class LogLevel
-{
-    Quiet,  ///< only fatal/panic
-    Warn,   ///< warnings and above
-    Info,   ///< informational messages and above
-    Debug,  ///< everything
-};
-
-/** Set the process-wide log level. */
-void setLogLevel(LogLevel level);
-
-/** Current process-wide log level. */
-LogLevel logLevel();
-
-/** Emit an informational message (filtered below LogLevel::Info). */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit a warning (filtered below LogLevel::Warn). */
+/** Emit a warning to stderr. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit a debug message (filtered below LogLevel::Debug). */
-void debug(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Report a user error and exit(1).  Never returns. */
 [[noreturn]] void fatal(const char *fmt, ...)

@@ -13,6 +13,7 @@
 #include <map>
 #include <vector>
 
+#include "cluster/cluster.hh"
 #include "model/model.hh"
 #include "partition/partition.hh"
 #include "pipeline/schedule.hh"
@@ -22,6 +23,7 @@
 #include "util/pool.hh"
 #include "util/random.hh"
 
+namespace cl = mpress::cluster;
 namespace hw = mpress::hw;
 namespace mm = mpress::model;
 namespace mp = mpress::partition;
@@ -274,11 +276,12 @@ TEST(Mapper, BranchAndBoundMatchesExhaustiveScan)
 
 TEST(Mapper, DrainFloorsMatchExhaustiveScan)
 {
-    // Where the drain floors' edge cases live: chains of dual-A100
-    // nodes whose PCIe or NVLink 2 chain links override the NVSwitch 3
-    // spec (an exporter's candidate importers differ in spec and
-    // lanes), plus both DGX-1 meshes.  Every other case ties the top
-    // two demands and desires, which must switch floor A off.
+    // Where the drain floors' edge cases live: clusters of dual-A100
+    // nodes whose NIC is slower (one roce100) or faster (two 800 Gb/s
+    // NICs) than the NVSwitch 3 lane, so an exporter's candidate
+    // importers differ in spec and lanes, plus both DGX-1 meshes.
+    // Every other case ties the top two demands and desires, which
+    // must switch floor A off.
     mu::SplitMix64 rng(20231017);
     mu::ThreadPool serial(1), pooled(4);
     const mu::Bytes cap = 28 * mu::kGB;
@@ -315,14 +318,32 @@ TEST(Mapper, DrainFloorsMatchExhaustiveScan)
         EXPECT_EQ(one.pruned, four.pruned);
     };
 
+    auto dual_a100s = [](int nodes, const char *nic, int nics,
+                         double gbps) {
+        cl::ClusterSpec spec;
+        spec.nodes = nodes;
+        spec.nodePreset = "dual-a100";
+        spec.nicPreset = nic;
+        spec.nicsPerNode = nics;
+        spec.nicGbps = gbps;
+        return cl::buildCluster(spec);
+    };
     const hw::Topology topos[] = {
-        hw::Topology::multiNode(hw::Topology::dualA100(), 4, 1,
-                                hw::LinkSpec::pcie4x16()),
-        hw::Topology::multiNode(hw::Topology::dualA100(), 3, 2,
-                                hw::LinkSpec::nvlink2()),
+        dual_a100s(4, "roce100", 1, 0.0),
+        dual_a100s(3, "ib-hdr", 2, 800.0),
         hw::Topology::dgx1V100(), hw::Topology::dgx1P100()};
+    const mu::Bytes stripe = 64 * mu::kMiB;
+    ASSERT_GT(topos[0].nicSpec().transferTime(stripe),
+              topos[0].nvlinkSpec().transferTime(stripe));
+    ASSERT_LT(topos[1].nicSpec().transferTime(stripe),
+              topos[1].nvlinkSpec().transferTime(stripe));
     for (const auto &topo : topos) {
         for (int k = 2; k <= topo.numGpus(); ++k) {
+            // A cluster whose node count divides the stage count is
+            // placed node by node (the hierarchical branch), not by
+            // the flat scan this test checks.
+            if (topo.multiNodeFabric() && k % topo.numNodes() == 0)
+                continue;
             for (bool with_desire : {false, true}) {
                 const bool tied = (k + (with_desire ? 1 : 0)) % 2 == 0;
                 std::vector<mu::Bytes> demand, desire;

@@ -153,7 +153,16 @@ EOF
         echo "bad cluster spec exited $rc, want 3" >&2
         exit 1
     }
-    echo "cluster smoke: 2-node plan trained, bad spec rejected"
+    # The cross-server claims exit 1 unless they all hold: 2x-dgx1
+    # scales GPT-10.3B by at least 1.5x over one DGX-1, and GPT-25.5B
+    # (2x-dgx1) and GPT-3 175B (4x-dgx2) OOM without compaction and
+    # fit with MPress.
+    ./build-asan/bench/bench_multinode >"$smoke/multinode.out" || {
+        cat "$smoke/multinode.out" >&2
+        exit 1
+    }
+    echo "cluster smoke: 2-node plan trained, bad spec rejected," \
+         "cross-server claims hold"
 
     echo "== serve smoke (ASan) =="
     # The daemon under ASan: serve a real plan, then feed it hostile
