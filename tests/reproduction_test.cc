@@ -218,3 +218,47 @@ TEST(SectionIIC, CapacityCeilingsMatchThePaper)
                      api::Strategy::MPressFull)
                      .oom);
 }
+
+namespace {
+
+/** A GPT job whose pipeline has one stage per GPU of @p topo. */
+api::SessionResult
+gptAcross(const hw::Topology &topo, const std::string &preset,
+          api::Strategy strategy)
+{
+    auto cfg = bench::gptJob(preset, strategy);
+    cfg.numStages = topo.numGpus();
+    return api::runSession(topo, cfg);
+}
+
+} // namespace
+
+TEST(CrossServer, TwoDgx1NearlyDoubleOneDgx1)
+{
+    // Introduction: single-server MPress is the building block for
+    // cross-server training.  Only boundary activations cross the
+    // NIC, so a second DGX-1 gives at least 1.5x the throughput.
+    auto one = gptAcross(hw::Topology::dgx1V100(), "gpt-10.3b",
+                         api::Strategy::MPressFull);
+    auto two = gptAcross(api::topologyFromName("2x-dgx1").value(),
+                         "gpt-10.3b", api::Strategy::MPressFull);
+    ASSERT_FALSE(one.oom);
+    ASSERT_FALSE(two.oom);
+    EXPECT_GE(two.tflops / one.tflops, 1.5);
+}
+
+TEST(CrossServer, ClusterCeilingsNeedCompaction)
+{
+    // More servers raise the size ceiling only with compaction:
+    // GPT-25.5B on two DGX-1s and GPT-3 175B on four DGX-2-class
+    // servers OOM without it and fit with MPress.
+    auto two_dgx1 = api::topologyFromName("2x-dgx1").value();
+    EXPECT_TRUE(gptAcross(two_dgx1, "gpt-25.5b", api::Strategy::None).oom);
+    EXPECT_FALSE(
+        gptAcross(two_dgx1, "gpt-25.5b", api::Strategy::MPressFull).oom);
+
+    auto four_dgx2 = api::topologyFromName("4x-dgx2").value();
+    EXPECT_TRUE(gptAcross(four_dgx2, "gpt3-175b", api::Strategy::None).oom);
+    EXPECT_FALSE(
+        gptAcross(four_dgx2, "gpt3-175b", api::Strategy::MPressFull).oom);
+}

@@ -1,12 +1,14 @@
 /**
  * @file
  * Unit tests for mpress::util — units, formatting, tables, strings,
- * deterministic RNG.
+ * deterministic RNG, logging.
  */
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -14,6 +16,7 @@
 #include "sim/stream.hh"
 #include "util/inline_function.hh"
 #include "util/json.hh"
+#include "util/logging.hh"
 #include "util/random.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
@@ -529,4 +532,26 @@ TEST(JsonRender, EscapesAndIntegerNumbers)
     EXPECT_EQ(rendered,
               "{\"s\":\"a\\\"b\\\\c\\n\",\"n\":3,\"f\":0.5}");
     EXPECT_EQ(mu::jsonQuote("tab\there"), "\"tab\\there\"");
+}
+
+TEST(Logging, WarnAlwaysWritesOneTaggedLine)
+{
+    // There is no level to set: a warning always reaches stderr as
+    // one tagged line, and the run goes on.
+    EXPECT_EXIT(
+        {
+            mu::warn("%d stages over %s", 8, "dgx1");
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(0), "^warn: 8 stages over dgx1\n$");
+}
+
+TEST(Logging, FatalExitsOneAndPanicAborts)
+{
+    EXPECT_EXIT(mu::fatal("unknown model '%s'", "bert-9b"),
+                ::testing::ExitedWithCode(1),
+                "^fatal: unknown model 'bert-9b'\n$");
+    EXPECT_EXIT(mu::panic("lane %d out of range", 13),
+                ::testing::KilledBySignal(SIGABRT),
+                "^panic: lane 13 out of range\n$");
 }
